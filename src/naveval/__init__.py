@@ -7,19 +7,6 @@ correlation analysis.
 
 __version__ = "0.1.0"
 
-from .align import (
-    TargetMatrix,
-    as_hidden_matrix,
-    attention_coverage_loss,
-    build_cost,
-    contrastive_loss,
-    dtw_align,
-    expand_alignment,
-    softmax_attention,
-    target_from_word_map,
-    total_loss,
-    validate_alignment_matrix,
-)
 from .knowledge import (
     Detection,
     EntitySet,
@@ -111,3 +98,18 @@ __all__ = [
     "span_text",
     "tokenize",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """Resolve naveval.align and its names on first access (PEP 562).
+
+    naveval.align imports numpy, so importing naveval, and running every
+    subcommand but align, does not load numpy. The names of __all__ that the
+    imports above do not bind are exactly the naveval.align names.
+    """
+    if name == "align" or name in __all__:
+        import importlib
+
+        align = importlib.import_module(".align", __name__)
+        return align if name == "align" else getattr(align, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,20 +16,8 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from .align import (
-    DEFAULT_EPS,
-    DEFAULT_LAMBDA1,
-    DEFAULT_LAMBDA2,
-    attention_coverage_loss,
-    build_cost,
-    contrastive_loss,
-    dtw_align,
-    softmax_attention,
-    target_from_word_map,
-    total_loss,
-)
 from .knowledge import DEFAULT_TOP_K, KnowledgeBaseError, load_kb, retrieve_facts
-from .metric import ScoringInput, SemanticTuple, SynonymMap, normalize_tuples, score_pair
+from .metric import ScoringInput, SynonymMap, score_pair
 from .stats import correlate_metrics
 from .text import (
     DirectionTaxonomy,
@@ -58,15 +46,19 @@ class SchemaError(CommandError):
 
 @dataclass(frozen=True)
 class EvalRecord:
-    """One JSONL corpus row: id, instruction text, optional tuples and labels."""
+    """One JSONL corpus row: its id, its instruction text, and what scoring uses.
+
+    The scoring input carries the normalized tuples and the direction labels:
+    the explicit ones, or else those parsed from the text at load time, so no
+    tokenized text is kept.
+    """
 
     id: str
     text: str
-    tuples: frozenset[SemanticTuple] | None
-    directions: tuple[str, ...] | None
+    scoring: ScoringInput
 
 
-def _parse_record(obj: object, where: str) -> EvalRecord:
+def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> EvalRecord:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: record must be a JSON object")
     rid = obj.get("id")
@@ -75,24 +67,22 @@ def _parse_record(obj: object, where: str) -> EvalRecord:
         raise SchemaError(f"{where}: 'id' must be a nonempty string")
     if not isinstance(text, str) or not text.strip():
         raise SchemaError(f"{where}: 'text' must be a nonempty string")
-    tuples = None
-    if obj.get("tuples") is not None:
-        if not isinstance(obj["tuples"], list):
-            raise SchemaError(f"{where}: 'tuples' must be a list of string lists")
-        try:
-            tuples = normalize_tuples(obj["tuples"])
-        except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
-    directions = None
-    if obj.get("directions") is not None:
-        d = obj["directions"]
-        if not isinstance(d, list) or not all(isinstance(lab, str) and lab for lab in d):
-            raise SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
-        directions = tuple(d)
-    return EvalRecord(id=rid, text=text, tuples=tuples, directions=directions)
+    tuples = obj.get("tuples")
+    if tuples is not None and not isinstance(tuples, list):
+        raise SchemaError(f"{where}: 'tuples' must be a list of string lists")
+    directions = obj.get("directions")
+    if directions is None:
+        directions = direction_labels(tokenize(text), taxonomy)
+    elif not isinstance(directions, list) or not all(isinstance(lab, str) and lab for lab in directions):
+        raise SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
+    try:
+        scoring = ScoringInput(None, tuples, tuple(directions))
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    return EvalRecord(id=rid, text=text, scoring=scoring)
 
 
-def _load_jsonl(path: Path) -> list[EvalRecord]:
+def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[EvalRecord]:
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -105,7 +95,7 @@ def _load_jsonl(path: Path) -> list[EvalRecord]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-        records.append(_parse_record(obj, f"{path}:{lineno}"))
+        records.append(_parse_record(obj, f"{path}:{lineno}", taxonomy))
     return records
 
 
@@ -126,6 +116,11 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        # mkstemp creates the file with mode 0600; give it the mode that a
+        # plain open() would, as the umask allows.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -175,16 +170,9 @@ def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
 # score
 
 
-def _scoring_input(record: EvalRecord) -> ScoringInput:
-    return ScoringInput(
-        instruction=tokenize(record.text), tuples=record.tuples, directions=record.directions
-    )
-
-
 def _check_overrides(record: EvalRecord, taxonomy: DirectionTaxonomy, where: str) -> None:
-    if record.directions is None:
-        return
-    unknown = sorted(set(record.directions) - taxonomy.label_set)
+    # Labels parsed from the text are in the taxonomy; explicit ones may not be.
+    unknown = sorted(set(record.scoring.directions) - taxonomy.label_set)
     if unknown:
         raise SchemaError(
             f"{where}: direction labels not in taxonomy {taxonomy.name!r}: {', '.join(unknown)}"
@@ -192,7 +180,8 @@ def _check_overrides(record: EvalRecord, taxonomy: DirectionTaxonomy, where: str
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    candidates = _load_jsonl(Path(args.candidates))
+    taxonomy = _taxonomy_from_args(args)
+    candidates = _load_jsonl(Path(args.candidates), taxonomy)
     if not candidates:
         raise InputError(f"{args.candidates}: no candidate records")
     seen: set[str] = set()
@@ -202,14 +191,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
         seen.add(rec.id)
 
     references: dict[str, list[EvalRecord]] = {}
-    for rec in _load_jsonl(Path(args.references)):
+    for rec in _load_jsonl(Path(args.references), taxonomy):
         references.setdefault(rec.id, []).append(rec)
 
     missing = [rec.id for rec in candidates if rec.id not in references]
     if missing:
         raise InputError("candidate ids missing from references: " + ", ".join(missing))
 
-    taxonomy = _taxonomy_from_args(args)
     synonyms = _synonyms_from_args(args)
 
     rows = []
@@ -220,8 +208,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
             _check_overrides(ref, taxonomy, f"{args.references} id {rec.id!r}")
         try:
             report = score_pair(
-                _scoring_input(rec),
-                [_scoring_input(r) for r in refs],
+                rec.scoring,
+                [r.scoring for r in refs],
                 taxonomy,
                 synonyms,
                 aggregation=args.aggregation,
@@ -258,6 +246,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_align(args: argparse.Namespace) -> int:
+    from . import align  # numpy is imported only by this subcommand
+
+    eps = align.DEFAULT_EPS if args.eps is None else args.eps
+    lambda1 = align.DEFAULT_LAMBDA1 if args.lambda1 is None else args.lambda1
+    lambda2 = align.DEFAULT_LAMBDA2 if args.lambda2 is None else args.lambda2
     doc = _load_json(Path(args.features))
     if not isinstance(doc, dict):
         raise SchemaError(f"{args.features}: feature document must be a JSON object")
@@ -270,8 +263,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
         raise SchemaError(f"{args.features}: 'word_to_sub' must be a list of integers")
 
     try:
-        cost = build_cost(doc["sub_instructions"], doc["panoramas"])
-        a = dtw_align(cost)
+        cost = align.build_cost(doc["sub_instructions"], doc["panoramas"])
+        a = align.dtw_align(cost)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -282,15 +275,15 @@ def _cmd_align(args: argparse.Namespace) -> int:
             f"({len(word_to_sub)} entries for {len(words) if isinstance(words, list) else '?'} words)"
         )
     try:
-        target = target_from_word_map(a, word_to_sub)
+        target = align.target_from_word_map(a, word_to_sub)
     except ValueError as exc:
         raise SchemaError(f"{args.features}: {exc}") from None
 
     try:
-        beta = softmax_attention(words, doc["panoramas"])
-        l_att = attention_coverage_loss(beta, target, eps=args.eps)
-        l_nce = contrastive_loss(doc["panoramas"], words, target)
-        total = total_loss(args.ce, l_att, l_nce, args.lambda1, args.lambda2)
+        beta = align.softmax_attention(words, doc["panoramas"])
+        l_att = align.attention_coverage_loss(beta, target, eps=eps)
+        l_nce = align.contrastive_loss(doc["panoramas"], words, target)
+        total = align.total_loss(args.ce, l_att, l_nce, lambda1, lambda2)
     except ValueError as exc:
         raise InputError(str(exc)) from None
 
@@ -300,8 +293,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
         "l_att": l_att,
         "l_nce": l_nce,
         "ce": args.ce,
-        "lambda1": args.lambda1,
-        "lambda2": args.lambda2,
+        "lambda1": lambda1,
+        "lambda2": lambda2,
         "total_loss": total,
     }
     _emit_json(out_doc, args.out)
@@ -387,7 +380,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         if not args.instructions:
             raise InputError("--min-directions requires --instructions with the instruction texts")
         taxonomy = _taxonomy_from_args(args)
-        texts = {rec.id: rec.text for rec in _load_jsonl(Path(args.instructions))}
+        texts = {rec.id: rec.text for rec in _load_jsonl(Path(args.instructions), taxonomy)}
         unknown = [rid for rid in ids if rid not in texts]
         if unknown:
             raise InputError(
@@ -458,9 +451,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="max",
         help="how to combine scores over multiple references",
     )
-    common.add_argument("--lambda1", type=float, default=DEFAULT_LAMBDA1, help="attention-coverage loss weight")
-    common.add_argument("--lambda2", type=float, default=DEFAULT_LAMBDA2, help="contrastive loss weight")
-    common.add_argument("--eps", type=float, default=DEFAULT_EPS, help="log clamp for the coverage loss")
+    # Unset here, so the parser needs no numpy; _cmd_align takes the defaults
+    # from naveval.align.
+    common.add_argument("--lambda1", type=float, help="attention-coverage loss weight")
+    common.add_argument("--lambda2", type=float, help="contrastive loss weight")
+    common.add_argument("--eps", type=float, help="log clamp for the coverage loss")
     common.add_argument("--out", default=None, help="write output to this file atomically instead of stdout")
     common.add_argument("--quiet", action="store_true", help="suppress informational stderr messages")
 

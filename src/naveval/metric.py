@@ -213,6 +213,16 @@ def spice_d_score(
     on either side this reduces exactly to plain SPICE.
     """
     cand, ref = _canonical_sets(candidate_tuples, reference_tuples, synonyms)
+    return _spice_d(cand, ref, candidate_dirs, reference_dirs)
+
+
+def _spice_d(
+    cand: frozenset[SemanticTuple],
+    ref: frozenset[SemanticTuple],
+    candidate_dirs: Sequence[str],
+    reference_dirs: Sequence[str],
+) -> ScoreReport:
+    # spice_d_score on tuple sets that are already normalized and canonical.
     inter = len(cand & ref)
     pr_s = _ratio(inter, len(cand))
     re_s = _ratio(inter, len(ref))
@@ -242,13 +252,21 @@ class ScoringInput:
     """One side of a comparison: tokenized text, optional tuples, optional labels.
 
     tuples=None means the tuple annotation is absent (direction-only scoring);
-    an empty set means it is present but empty. When directions is None the
-    labels are parsed from the instruction text.
+    an empty set means it is present but empty. Tuples are validated and
+    normalized once, here, as by normalize_tuples. When directions is None the
+    labels are parsed from the instruction text; with explicit directions the
+    instruction is unused and may be None.
     """
 
-    instruction: Instruction
+    instruction: Instruction | None
     tuples: frozenset[SemanticTuple] | None = None
     directions: tuple[str, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.instruction is None and self.directions is None:
+            raise ValueError("an instruction is required when directions are not given")
+        if self.tuples is not None:
+            object.__setattr__(self, "tuples", normalize_tuples(self.tuples))
 
 
 def _resolve_directions(item: ScoringInput, taxonomy: DirectionTaxonomy) -> list[str]:
@@ -283,14 +301,18 @@ def score_pair(
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
 
     direction_only = candidate.tuples is None or any(r.tuples is None for r in references)
-    cand_tuples: frozenset[SemanticTuple] = frozenset() if direction_only else candidate.tuples
-    cand_dirs = _resolve_directions(candidate, taxonomy)
 
+    def prepared(item: ScoringInput) -> tuple[frozenset[SemanticTuple], list[str]]:
+        tuples: frozenset[SemanticTuple] = frozenset() if direction_only else item.tuples
+        if synonyms is not None:
+            tuples = synonyms.canonical_set(tuples)
+        return tuples, _resolve_directions(item, taxonomy)
+
+    cand_tuples, cand_dirs = prepared(candidate)
     reports = []
     for ref in references:
-        ref_tuples: frozenset[SemanticTuple] = frozenset() if direction_only else ref.tuples
-        ref_dirs = _resolve_directions(ref, taxonomy)
-        reports.append(spice_d_score(cand_tuples, ref_tuples, cand_dirs, ref_dirs, synonyms))
+        ref_tuples, ref_dirs = prepared(ref)
+        reports.append(_spice_d(cand_tuples, ref_tuples, cand_dirs, ref_dirs))
 
     best = max(range(len(reports)), key=lambda i: (reports[i].spice_d, -i))
     chosen = reports[best]

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-# Characters treated as separators in addition to whitespace.
-PUNCTUATION = frozenset('.,;:!?"')
+# A token is a maximal run of characters other than whitespace and .,;:!?"
+# Python's \s matches exactly the characters for which str.isspace() is true.
+_TOKEN_RE = re.compile(r'[^\s.,;:!?"]+')
+_SPACE_RE = re.compile(r"\s")
 
 # Tokens that open a new sub-instruction chunk.
 BOUNDARY_TOKENS = frozenset({"and", "then"})
@@ -42,7 +45,7 @@ class Instruction:
             raise ValueError("tokens and spans must have equal length")
         prev_end = 0
         for tok, (start, end) in zip(self.tokens, self.spans):
-            if not tok or any(ch.isspace() for ch in tok):
+            if not tok or _SPACE_RE.search(tok):
                 raise ValueError(f"invalid token {tok!r}: tokens must be nonempty and whitespace-free")
             if not (0 <= start < end <= len(self.raw)) or start < prev_end:
                 raise ValueError("token spans must be strictly increasing and within the raw text")
@@ -53,28 +56,21 @@ class Instruction:
 
 
 def tokenize(raw: str) -> Instruction:
-    """Split raw text into lowercase tokens.
+    r"""Split raw text into lowercase tokens.
 
-    Whitespace and the punctuation characters .,;:!?" act as separators and
+    Tokens are the maximal matches of the regex [^\s.,;:!?"]+, so
+    whitespace and the punctuation characters .,;:!?" act as separators and
     never appear inside tokens. Apostrophes and hyphens are kept, so "o'clock"
-    and "u-turn" survive as single tokens. Total: any string, including the
-    empty one, yields a valid Instruction.
+    and "u-turn" survive as single tokens. Each token is lowercased on its own,
+    so spans index the raw text even where lower() changes a string's length.
+    Total: any string, including the empty one, yields a valid Instruction.
     """
-    tokens: list[str] = []
-    spans: list[tuple[int, int]] = []
-    start: int | None = None
-    for i, ch in enumerate(raw):
-        if ch.isspace() or ch in PUNCTUATION:
-            if start is not None:
-                tokens.append(raw[start:i].lower())
-                spans.append((start, i))
-                start = None
-        elif start is None:
-            start = i
-    if start is not None:
-        tokens.append(raw[start:].lower())
-        spans.append((start, len(raw)))
-    return Instruction(raw=raw, tokens=tuple(tokens), spans=tuple(spans))
+    matches = list(_TOKEN_RE.finditer(raw))
+    return Instruction(
+        raw=raw,
+        tokens=tuple(m.group().lower() for m in matches),
+        spans=tuple(m.span() for m in matches),
+    )
 
 
 @dataclass(frozen=True)
@@ -170,9 +166,9 @@ class DirectionTaxonomy:
 def load_taxonomy(source: str | Path) -> DirectionTaxonomy:
     """Load a taxonomy from a JSON file path or by bare name from the data dir.
 
-    A bare name like "r2r" resolves to <data_dir>/taxonomies/<name>.json; any
-    string that looks like a path (contains a separator, ends in .json, or
-    names an existing file) is read directly.
+    A bare name like "r2r" resolves to <data_dir>/taxonomies/<name>.json, even
+    when a file of that name exists in the working directory. A string that
+    ends in .json or contains a path separator, and any Path, is read directly.
     """
     path = Path(source)
     if isinstance(source, str) and not _looks_like_path(source):
@@ -182,11 +178,7 @@ def load_taxonomy(source: str | Path) -> DirectionTaxonomy:
 
 
 def _looks_like_path(s: str) -> bool:
-    if s.endswith(".json") or os.sep in s:
-        return True
-    if os.altsep and os.altsep in s:
-        return True
-    return Path(s).exists()
+    return s.endswith(".json") or os.sep in s or bool(os.altsep and os.altsep in s)
 
 
 def parse_directions(instruction: Instruction, taxonomy: DirectionTaxonomy) -> list[DirectionPhrase]:

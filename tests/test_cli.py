@@ -1,5 +1,10 @@
 import json
 import math
+import os
+import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +81,27 @@ class TestScore:
         assert out_a.read_bytes() == out_b.read_bytes()
         leftovers = [p for p in tmp_path.iterdir() if p.name.startswith(".")]
         assert leftovers == []
+
+    @pytest.mark.parametrize(
+        "umask, mode", [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)], ids=["022", "077", "002"]
+    )
+    def test_output_file_mode_follows_umask(self, capsys, tmp_path, mini_corpus_dir, umask, mode):
+        out = tmp_path / "report.json"
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(
+                capsys,
+                "score",
+                str(mini_corpus_dir / "candidates.jsonl"),
+                str(mini_corpus_dir / "references.jsonl"),
+                "--quiet",
+                "--out",
+                str(out),
+            )
+        finally:
+            os.umask(old)
+        assert code == 0
+        assert stat.S_IMODE(out.stat().st_mode) == mode
 
     def test_missing_reference_id_fails_without_output(self, capsys, tmp_path):
         cands = tmp_path / "c.jsonl"
@@ -246,6 +272,13 @@ class TestDirectionsAndChunk:
         assert code == 0
         assert out == "two_oclock\n"
 
+    def test_bare_taxonomy_name_ignores_file_in_cwd(self, capsys, tmp_path, monkeypatch):
+        (tmp_path / "r2r").write_text("not json", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, "directions", "--text", "turn left")
+        assert code == 0
+        assert out == "left\n"
+
     def test_chunk_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "chunk", "--text", "Turn left, walk past the sofa, and stop by the door."
@@ -409,6 +442,53 @@ class TestKbQuery:
             capsys, "kb", "query", "--kb", str(kb_fixture_path), "--entity", "sink", "--k", "0"
         )
         assert code == 1
+
+
+NUMPY_FREE_SCRIPT = """
+import json, pathlib, sys
+import naveval
+from naveval.cli import main
+
+assert "numpy" not in sys.modules, "import naveval"
+tmp = pathlib.Path(sys.argv[1])
+mini = naveval.text.data_dir() / "mini_corpus"
+(tmp / "table.csv").write_text("id,spice_d,human\\nq01,0.5,3\\nq02,0.9,4\\nq03,0.1,1\\n")
+(tmp / "texts.jsonl").write_text(
+    "".join(json.dumps({"id": i, "text": "turn left and go right"}) + "\\n" for i in ("q01", "q02", "q03"))
+)
+runs = {
+    "score": ["score", str(mini / "candidates.jsonl"), str(mini / "references.jsonl")],
+    "directions": ["directions", "--text", "turn left"],
+    "chunk": ["chunk", "--text", "turn left and stop"],
+    "kb query": ["kb", "query", "--kb", sys.argv[2], "--entity", "sink"],
+    "correlate": ["correlate", str(tmp / "table.csv"), "--min-directions", "1",
+                  "--instructions", str(tmp / "texts.jsonl")],
+}
+for name, argv in runs.items():
+    assert main(argv + ["--quiet", "--out", str(tmp / "out")]) == 0, name
+    assert "numpy" not in sys.modules, name
+
+assert callable(naveval.dtw_align)
+from naveval import TargetMatrix
+assert TargetMatrix.__module__ == "naveval.align"
+assert "numpy" in sys.modules
+print("ok")
+"""
+
+
+def test_numpy_loaded_only_for_align(tmp_path, kb_fixture_path):
+    import naveval
+
+    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_SCRIPT, str(tmp_path), str(kb_fixture_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 class TestParser:

@@ -308,3 +308,22 @@ class TestScorePair:
         # Genuine tie: the report must carry the first reference's counts.
         report = score_pair(cand, [ref_a, ref_b], r2r)
         assert report.n_ref_tuples == 2 and report.n_ref_dirs == 1
+
+    def test_unnormalized_tuples_score_like_spice_d_score(self, r2r):
+        """ScoringInput normalizes raw tuples once; the scores equal spice_d_score on the raw sets."""
+        synonyms = SynonymMap([["sofa", "couch"], ["door", "doorway"]])
+        cand_raw = {("Couch ",), (" DOOR", "Left Of", "sofa"), ("wall", "white")}
+        ref_raw = [("sofa",), ("doorway ", "left of", "Couch"), ("Lamp",)]
+        cand = ScoringInput(tokenize("Turn LEFT at the couch"), cand_raw)
+        ref = ScoringInput(tokenize("turn left then turn right"), ref_raw)
+        assert cand.tuples == normalize_tuples(cand_raw)
+        expected = spice_d_score(cand_raw, ref_raw, ["left"], ["left", "right"], synonyms)
+        assert expected.n_tuple_matches == 2
+        assert score_pair(cand, [ref], r2r, synonyms) == expected
+
+    def test_explicit_directions_need_no_instruction(self, r2r):
+        cand = ScoringInput(None, {("door",)}, ("left", "right"))
+        ref = self._input("turn left then turn right", frozenset({("door",)}))
+        assert score_pair(cand, [ref], r2r).spice_d == 1.0
+        with pytest.raises(ValueError, match="instruction"):
+            ScoringInput(None, {("door",)})

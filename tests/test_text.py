@@ -16,6 +16,27 @@ from naveval.text import (
 
 VERBS = frozenset({"walk", "go", "turn", "stop", "exit", "enter", "take", "make", "veer", "wait"})
 
+SEPARATOR_PUNCTUATION = frozenset('.,;:!?"')
+
+
+def loop_tokenize(raw):
+    """Reference tokenizer: the per-character loop that tokenize must agree with."""
+    tokens = []
+    spans = []
+    start = None
+    for i, ch in enumerate(raw):
+        if ch.isspace() or ch in SEPARATOR_PUNCTUATION:
+            if start is not None:
+                tokens.append(raw[start:i].lower())
+                spans.append((start, i))
+                start = None
+        elif start is None:
+            start = i
+    if start is not None:
+        tokens.append(raw[start:].lower())
+        spans.append((start, len(raw)))
+    return tuple(tokens), tuple(spans)
+
 
 class TestTokenize:
     def test_lowercase_and_punctuation_stripped(self):
@@ -52,6 +73,34 @@ class TestTokenize:
                 assert not any(ch.isspace() for ch in tok)
                 prev_end = end
 
+    def test_matches_loop_tokenizer_on_random_text(self):
+        """Separators, Unicode whitespace and punctuation, and İ, whose lower() is two characters."""
+        alphabet = (
+            " \t\n\r\x0b\x0c.,;:!?\"'-"
+            "\u00a0\u2003\u3000\u001c"
+            "\u2026\uff0c\u201c"
+            "\u0130"
+            "aZ9é"
+        )
+        rng = random.Random(11)
+        for _ in range(3000):
+            raw = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30)))
+            ins = tokenize(raw)
+            assert (ins.tokens, ins.spans) == loop_tokenize(raw), repr(raw)
+
+    def test_separators_are_exactly_whitespace_and_punctuation(self):
+        """Over every code point, a character is left out of all tokens exactly
+        when it is whitespace or one of .,;:!?\"."""
+        raw = "".join(map(chr, range(0x110000)))
+        ins = tokenize(raw)
+        covered = bytearray(len(raw))
+        for start, end in ins.spans:
+            covered[start:end] = b"\x01" * (end - start)
+        separators = [i for i, flag in enumerate(covered) if not flag]
+        expected = [i for i, ch in enumerate(raw) if ch.isspace() or ch in SEPARATOR_PUNCTUATION]
+        assert separators == expected
+        assert (ins.tokens, ins.spans) == loop_tokenize(raw)
+
     def test_instruction_validates_spans(self):
         with pytest.raises(ValueError):
             Instruction(raw="ab", tokens=("a", "b"), spans=((0, 1), (0, 1)))
@@ -81,6 +130,11 @@ class TestTaxonomy:
         p.write_text('{"name": "tiny", "classes": [{"label": "up", "phrases": ["go up"]}]}')
         tax = load_taxonomy(p)
         assert tax.labels == ("up",)
+
+    def test_bare_name_ignores_file_of_that_name_in_cwd(self, tmp_path, monkeypatch):
+        (tmp_path / "r2r").write_text("not json", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert load_taxonomy("r2r").name == "r2r"
 
     def test_data_dir_override(self, tmp_path, monkeypatch):
         (tmp_path / "taxonomies").mkdir()
