@@ -20,10 +20,8 @@ from .knowledge import (
 from .metric import (
     ScoreReport,
     ScoringInput,
-    SemanticTupleSet,
     SynonymMap,
     lcs_length,
-    match_tuples,
     normalize_tuples,
     score_pair,
     spice_d_score,
@@ -32,7 +30,6 @@ from .metric import (
 from .stats import (
     CorrelationReport,
     MetricCorrelation,
-    PairedScores,
     correlate_metrics,
     pearson,
 )
@@ -53,7 +50,6 @@ from .text import (
 __all__ = [
     "__version__",
     "TargetMatrix",
-    "as_hidden_matrix",
     "attention_coverage_loss",
     "build_cost",
     "contrastive_loss",
@@ -73,17 +69,14 @@ __all__ = [
     "retrieve_facts",
     "ScoreReport",
     "ScoringInput",
-    "SemanticTupleSet",
     "SynonymMap",
     "lcs_length",
-    "match_tuples",
     "normalize_tuples",
     "score_pair",
     "spice_d_score",
     "spice_score",
     "CorrelationReport",
     "MetricCorrelation",
-    "PairedScores",
     "correlate_metrics",
     "pearson",
     "DirectionPhrase",

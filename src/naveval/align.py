@@ -21,7 +21,7 @@ DEFAULT_LAMBDA2 = 1.0
 ATTENTION_ROW_TOL = 1e-6
 
 
-def as_hidden_matrix(value: object, name: str = "vectors") -> np.ndarray:
+def _as_hidden_matrix(value: object, name: str = "vectors") -> np.ndarray:
     """Coerce a sequence of equal-length feature vectors to a finite 2-D float array."""
     try:
         arr = np.asarray(value, dtype=float)
@@ -44,8 +44,8 @@ def _unit_rows(arr: np.ndarray, name: str) -> np.ndarray:
 
 def build_cost(sub_instructions: object, panoramas: object) -> np.ndarray:
     """Pairwise cosine-distance cost matrix, entries clipped to [0, 2]."""
-    subs = as_hidden_matrix(sub_instructions, "sub_instructions")
-    panos = as_hidden_matrix(panoramas, "panoramas")
+    subs = _as_hidden_matrix(sub_instructions, "sub_instructions")
+    panos = _as_hidden_matrix(panoramas, "panoramas")
     if subs.shape[1] != panos.shape[1]:
         raise ValueError(
             f"dimension mismatch: sub_instructions have {subs.shape[1]}, panoramas have {panos.shape[1]}"
@@ -155,15 +155,11 @@ def expand_alignment(a: object, sub_instructions: Sequence[object], n_words: int
     """Expand a sub-instruction alignment to word level via the chunk spans.
 
     The spans must partition [0, n_words) in order, one per alignment row.
+    They become a word-to-chunk map, built into the target by
+    target_from_word_map.
     """
-    arr = np.asarray(a)
-    validate_alignment_matrix(arr)
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
-    if len(sub_instructions) != arr.shape[0]:
-        raise ValueError(
-            f"expected {arr.shape[0]} sub-instructions to match the alignment rows, got {len(sub_instructions)}"
-        )
     owner = [-1] * n_words
     for k, sub in enumerate(sub_instructions):
         start, end = _sub_span(sub)
@@ -176,7 +172,7 @@ def expand_alignment(a: object, sub_instructions: Sequence[object], n_words: int
     uncovered = [o for o, k in enumerate(owner) if k == -1]
     if uncovered:
         raise ValueError(f"words not covered by any sub-instruction span: {uncovered}")
-    return TargetMatrix(a_prime=arr[np.array(owner), :], word_to_sub=tuple(owner))
+    return target_from_word_map(a, owner)
 
 
 def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
@@ -190,17 +186,17 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
     m = arr.shape[0]
     owner: list[int] = []
     for o, k in enumerate(word_to_sub):
-        if not isinstance(k, (int, np.integer)) or isinstance(k, bool):
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise ValueError(f"word_to_sub[{o}] must be an integer, got {k!r}")
-        if not 0 <= int(k) < m:
+        if not 0 <= k < m:
             raise ValueError(f"word_to_sub[{o}] = {k} out of range for {m} sub-instructions")
         owner.append(int(k))
     if not owner:
         raise ValueError("word_to_sub must be nonempty")
-    if any(b < a_ for a_, b in zip(owner, owner[1:])):
+    if owner != sorted(owner):
         raise ValueError("word_to_sub must be non-decreasing")
     if set(owner) != set(range(m)):
-        raise ValueError("word_to_sub must cover every sub-instruction index")
+        raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
     return TargetMatrix(a_prime=arr[np.array(owner), :], word_to_sub=tuple(owner))
 
 
@@ -247,16 +243,24 @@ def attention_coverage_loss(beta: object, a_prime: object, eps: float = DEFAULT_
     return float(-per_word.mean())
 
 
+def _logsumexp(x: np.ndarray) -> np.ndarray:
+    # Row-wise log(sum(exp(x))), shifted by the row maximum so that nothing
+    # overflows and a row's largest entry never underflows.
+    top = x.max(axis=1, keepdims=True)
+    return top + np.log(np.exp(x - top).sum(axis=1, keepdims=True))
+
+
 def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float:
     """Softmax contrastive loss pulling word features toward aligned panoramas.
 
     For each word the logits are its dot products with every panorama feature;
     the loss is the negative log of the softmax mass on aligned viewpoints,
-    averaged over words. Logits are shifted by their row maximum before
-    exponentiation, so the value is invariant to adding a per-word constant.
+    averaged over words. It is computed in log space, as the logsumexp over
+    the aligned logits minus the logsumexp over the row, so it is finite for
+    finite features and invariant to adding a per-word constant.
     """
-    p = as_hidden_matrix(panoramas, "panoramas")
-    w = as_hidden_matrix(words, "words")
+    p = _as_hidden_matrix(panoramas, "panoramas")
+    w = _as_hidden_matrix(words, "words")
     if p.shape[1] != w.shape[1]:
         raise ValueError(f"dimension mismatch: panoramas have {p.shape[1]}, words have {w.shape[1]}")
     target = _as_target(a_prime)
@@ -269,20 +273,18 @@ def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float
         o = int(np.argmax(row_sums == 0))
         raise ValueError(f"target row {o} has no aligned viewpoint")
     logits = w @ p.T
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    per_word = np.log((e * target).sum(axis=1)) - np.log(e.sum(axis=1))
+    per_word = _logsumexp(np.where(target > 0, logits, -np.inf)) - _logsumexp(logits)
     return float(-per_word.mean())
 
 
 def softmax_attention(words: object, panoramas: object) -> np.ndarray:
     """Row-softmax of word-panorama dot products; rows sum to 1."""
-    w = as_hidden_matrix(words, "words")
-    p = as_hidden_matrix(panoramas, "panoramas")
+    w = _as_hidden_matrix(words, "words")
+    p = _as_hidden_matrix(panoramas, "panoramas")
     if w.shape[1] != p.shape[1]:
         raise ValueError(f"dimension mismatch: words have {w.shape[1]}, panoramas have {p.shape[1]}")
     logits = w @ p.T
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return np.exp(logits - _logsumexp(logits))
 
 
 def total_loss(

@@ -13,11 +13,10 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
 
 from .knowledge import DEFAULT_TOP_K, KnowledgeBaseError, load_kb, retrieve_facts
-from .metric import ScoringInput, SynonymMap, score_pair
+from .metric import ScoringInput, SynonymMap, check_labels, score_pair
 from .stats import correlate_metrics
 from .text import (
     DirectionTaxonomy,
@@ -44,21 +43,12 @@ class SchemaError(CommandError):
     exit_code = 2
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One JSONL corpus row: its id, its instruction text, and what scoring uses.
+def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> tuple[str, ScoringInput]:
+    """One JSONL corpus row as its id and its scoring input, fully validated.
 
-    The scoring input carries the normalized tuples and the direction labels:
-    the explicit ones, or else those parsed from the text at load time, so no
-    tokenized text is kept.
+    The direction labels are the explicit ones, checked against the taxonomy,
+    or else those parsed from the text here, so no tokenized text is kept.
     """
-
-    id: str
-    text: str
-    scoring: ScoringInput
-
-
-def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> EvalRecord:
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: record must be a JSON object")
     rid = obj.get("id")
@@ -76,13 +66,13 @@ def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> EvalR
     elif not isinstance(directions, list) or not all(isinstance(lab, str) and lab for lab in directions):
         raise SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
     try:
-        scoring = ScoringInput(None, tuples, tuple(directions))
+        check_labels(directions, taxonomy)
+        return rid, ScoringInput(None, tuples, tuple(directions))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
-    return EvalRecord(id=rid, text=text, scoring=scoring)
 
 
-def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[EvalRecord]:
+def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[tuple[str, ScoringInput]]:
     try:
         raw = path.read_text(encoding="utf-8")
     except OSError as exc:
@@ -170,53 +160,35 @@ def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
 # score
 
 
-def _check_overrides(record: EvalRecord, taxonomy: DirectionTaxonomy, where: str) -> None:
-    # Labels parsed from the text are in the taxonomy; explicit ones may not be.
-    unknown = sorted(set(record.scoring.directions) - taxonomy.label_set)
-    if unknown:
-        raise SchemaError(
-            f"{where}: direction labels not in taxonomy {taxonomy.name!r}: {', '.join(unknown)}"
-        )
-
-
 def _cmd_score(args: argparse.Namespace) -> int:
     taxonomy = _taxonomy_from_args(args)
     candidates = _load_jsonl(Path(args.candidates), taxonomy)
     if not candidates:
         raise InputError(f"{args.candidates}: no candidate records")
     seen: set[str] = set()
-    for rec in candidates:
-        if rec.id in seen:
-            raise SchemaError(f"{args.candidates}: duplicate candidate id {rec.id!r}")
-        seen.add(rec.id)
+    for rid, _ in candidates:
+        if rid in seen:
+            raise SchemaError(f"{args.candidates}: duplicate candidate id {rid!r}")
+        seen.add(rid)
 
-    references: dict[str, list[EvalRecord]] = {}
-    for rec in _load_jsonl(Path(args.references), taxonomy):
-        references.setdefault(rec.id, []).append(rec)
+    references: dict[str, list[ScoringInput]] = {}
+    for rid, ref in _load_jsonl(Path(args.references), taxonomy):
+        references.setdefault(rid, []).append(ref)
 
-    missing = [rec.id for rec in candidates if rec.id not in references]
+    missing = [rid for rid, _ in candidates if rid not in references]
     if missing:
         raise InputError("candidate ids missing from references: " + ", ".join(missing))
 
     synonyms = _synonyms_from_args(args)
 
     rows = []
-    for rec in candidates:
-        _check_overrides(rec, taxonomy, f"{args.candidates} id {rec.id!r}")
-        refs = references[rec.id]
-        for ref in refs:
-            _check_overrides(ref, taxonomy, f"{args.references} id {rec.id!r}")
+    for rid, cand in candidates:
+        refs = references[rid]
         try:
-            report = score_pair(
-                rec.scoring,
-                [r.scoring for r in refs],
-                taxonomy,
-                synonyms,
-                aggregation=args.aggregation,
-            )
+            report = score_pair(cand, refs, taxonomy, synonyms, aggregation=args.aggregation)
         except ValueError as exc:
-            raise InputError(f"id {rec.id!r}: {exc}") from None
-        rows.append({"id": rec.id, "n_references": len(refs), **report.to_dict()})
+            raise InputError(f"id {rid!r}: {exc}") from None
+        rows.append({"id": rid, "n_references": len(refs), **report.to_dict()})
 
     n = len(rows)
     corpus = {
@@ -380,17 +352,13 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         if not args.instructions:
             raise InputError("--min-directions requires --instructions with the instruction texts")
         taxonomy = _taxonomy_from_args(args)
-        texts = {rec.id: rec.text for rec in _load_jsonl(Path(args.instructions), taxonomy)}
-        unknown = [rid for rid in ids if rid not in texts]
+        n_dirs = {rid: len(item.directions) for rid, item in _load_jsonl(Path(args.instructions), taxonomy)}
+        unknown = [rid for rid in ids if rid not in n_dirs]
         if unknown:
             raise InputError(
                 "table ids missing from the instructions file: " + ", ".join(unknown)
             )
-        keep = [
-            i
-            for i, rid in enumerate(ids)
-            if len(direction_labels(tokenize(texts[rid]), taxonomy)) >= args.min_directions
-        ]
+        keep = [i for i, rid in enumerate(ids) if n_dirs[rid] >= args.min_directions]
         n_filtered = len(ids) - len(keep)
         ids = [ids[i] for i in keep]
         columns = {name: [col[i] for i in keep] for name, col in columns.items()}
@@ -438,54 +406,55 @@ def _cmd_kb(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="write output to this file atomically instead of stdout")
+    output.add_argument("--quiet", action="store_true", help="suppress informational stderr messages")
+    taxonomy = argparse.ArgumentParser(add_help=False)
+    taxonomy.add_argument(
         "--taxonomy",
         default=DEFAULT_TAXONOMY,
         help="direction taxonomy: a bundled name (r2r, urban) or a JSON file path",
     )
-    common.add_argument("--synonyms", default=None, help="JSON file of synonym groups")
-    common.add_argument(
-        "--aggregation",
-        choices=("max", "mean"),
-        default="max",
-        help="how to combine scores over multiple references",
-    )
-    # Unset here, so the parser needs no numpy; _cmd_align takes the defaults
-    # from naveval.align.
-    common.add_argument("--lambda1", type=float, help="attention-coverage loss weight")
-    common.add_argument("--lambda2", type=float, help="contrastive loss weight")
-    common.add_argument("--eps", type=float, help="log clamp for the coverage loss")
-    common.add_argument("--out", default=None, help="write output to this file atomically instead of stdout")
-    common.add_argument("--quiet", action="store_true", help="suppress informational stderr messages")
 
     parser = argparse.ArgumentParser(
         prog="naveval", description="Navigation-instruction evaluation toolkit."
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_score = sub.add_parser("score", parents=[common], help="score a JSONL corpus against references")
+    p_score = sub.add_parser("score", parents=[taxonomy, output], help="score a JSONL corpus against references")
     p_score.add_argument("candidates", help="candidate records, one JSON object per line")
     p_score.add_argument("references", help="reference records; repeat an id for multiple references")
+    p_score.add_argument("--synonyms", default=None, help="JSON file of synonym groups")
+    p_score.add_argument(
+        "--aggregation",
+        choices=("max", "mean"),
+        default="max",
+        help="how to combine scores over multiple references",
+    )
 
-    p_align = sub.add_parser("align", parents=[common], help="DTW-align feature sequences and report losses")
+    p_align = sub.add_parser("align", parents=[output], help="DTW-align feature sequences and report losses")
     p_align.add_argument("features", help="JSON file with sub_instructions, panoramas, words, word_to_sub")
     p_align.add_argument("--ce", type=float, default=0.0, help="cross-entropy term added to the total loss")
+    # Unset here, so the parser needs no numpy; _cmd_align takes the defaults
+    # from naveval.align.
+    p_align.add_argument("--lambda1", type=float, help="attention-coverage loss weight")
+    p_align.add_argument("--lambda2", type=float, help="contrastive loss weight")
+    p_align.add_argument("--eps", type=float, help="log clamp for the coverage loss")
 
-    p_dirs = sub.add_parser("directions", parents=[common], help="print direction labels parsed from text")
+    p_dirs = sub.add_parser("directions", parents=[taxonomy, output], help="print direction labels parsed from text")
     p_dirs.add_argument("--text", required=True)
 
-    p_chunk = sub.add_parser("chunk", parents=[common], help="print sub-instruction chunks, one per line")
+    p_chunk = sub.add_parser("chunk", parents=[output], help="print sub-instruction chunks, one per line")
     p_chunk.add_argument("--text", required=True)
 
-    p_corr = sub.add_parser("correlate", parents=[common], help="correlate metric columns with human scores")
+    p_corr = sub.add_parser("correlate", parents=[taxonomy, output], help="correlate metric columns with human scores")
     p_corr.add_argument("table", help="CSV with columns: id, <metrics...>, human")
-    p_corr.add_argument("--min-directions", type=int, default=None, help="keep only rows whose instruction has at least this many direction phrases")
-    p_corr.add_argument("--instructions", default=None, help="JSONL instruction texts, required by --min-directions")
+    p_corr.add_argument("--min-directions", type=int, default=None, help="keep only rows whose instruction has at least this many direction labels")
+    p_corr.add_argument("--instructions", default=None, help="JSONL instruction records, required by --min-directions")
 
     p_kb = sub.add_parser("kb", help="knowledge-base utilities")
     kb_sub = p_kb.add_subparsers(dest="kb_command", required=True)
-    p_query = kb_sub.add_parser("query", parents=[common], help="print top-k facts for an entity as TSV")
+    p_query = kb_sub.add_parser("query", parents=[output], help="print top-k facts for an entity as TSV")
     p_query.add_argument("--kb", required=True, help="tab-separated knowledge-base file")
     p_query.add_argument("--entity", required=True)
     p_query.add_argument("--k", type=int, default=DEFAULT_TOP_K)

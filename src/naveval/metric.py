@@ -34,21 +34,6 @@ def normalize_tuples(raw: Iterable[Sequence[str]]) -> frozenset[SemanticTuple]:
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class SemanticTupleSet:
-    """A normalized set of semantic tuples tagged with its side of the comparison."""
-
-    tuples: frozenset[SemanticTuple]
-    source: str = "candidate"
-
-    @classmethod
-    def from_raw(cls, raw: Iterable[Sequence[str]], source: str = "candidate") -> "SemanticTupleSet":
-        return cls(tuples=normalize_tuples(raw), source=source)
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-
 class SynonymMap:
     """Canonicalizes words to the representative (first member) of their synonym group."""
 
@@ -89,32 +74,8 @@ class SynonymMap:
         return len(self._mapping)
 
 
-def _coerce_tuple_set(value: object) -> frozenset[SemanticTuple]:
-    if value is None:
-        return frozenset()
-    if isinstance(value, SemanticTupleSet):
-        return value.tuples
-    return normalize_tuples(value)  # type: ignore[arg-type]
-
-
-def _canonical_sets(
-    candidate: object, reference: object, synonyms: SynonymMap | None
-) -> tuple[frozenset[SemanticTuple], frozenset[SemanticTuple]]:
-    cand = _coerce_tuple_set(candidate)
-    ref = _coerce_tuple_set(reference)
-    if synonyms is not None:
-        cand = synonyms.canonical_set(cand)
-        ref = synonyms.canonical_set(ref)
-    return cand, ref
-
-
-def match_tuples(candidate: object, reference: object, synonyms: SynonymMap | None = None) -> int:
-    """Count of exactly matching tuples after synonym canonicalization.
-
-    Set semantics: each candidate tuple matches at most one reference tuple.
-    """
-    cand, ref = _canonical_sets(candidate, reference, synonyms)
-    return len(cand & ref)
+def _canonical(tuples: frozenset[SemanticTuple], synonyms: SynonymMap | None) -> frozenset[SemanticTuple]:
+    return tuples if synonyms is None else synonyms.canonical_set(tuples)
 
 
 def _ratio(num: int, den: int) -> float:
@@ -125,21 +86,6 @@ def _ratio(num: int, den: int) -> float:
 def _f_score(p: float, r: float) -> float:
     # Harmonic mean with F(0, 0) defined as 0.
     return 2.0 * p * r / (p + r) if p + r > 0.0 else 0.0
-
-
-def spice_score(
-    candidate: object, reference: object, synonyms: SynonymMap | None = None
-) -> tuple[float, float, float]:
-    """Tuple-level precision, recall, and their harmonic mean.
-
-    Counts are taken on the canonicalized sets, so precision and recall always
-    land in [0, 1].
-    """
-    cand, ref = _canonical_sets(candidate, reference, synonyms)
-    inter = len(cand & ref)
-    pr = _ratio(inter, len(cand))
-    re = _ratio(inter, len(ref))
-    return pr, re, _f_score(pr, re)
 
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
@@ -199,8 +145,8 @@ class ScoreReport:
 
 
 def spice_d_score(
-    candidate_tuples: object,
-    reference_tuples: object,
+    candidate_tuples: Iterable[Sequence[str]] | None,
+    reference_tuples: Iterable[Sequence[str]] | None,
     candidate_dirs: Sequence[str],
     reference_dirs: Sequence[str],
     synonyms: SynonymMap | None = None,
@@ -209,11 +155,29 @@ def spice_d_score(
 
     Precision adds the direction-sequence LCS length to the tuple intersection
     and divides by candidate tuple plus direction counts; recall divides by
-    the reference counts; the score is their harmonic mean. With no directions
-    on either side this reduces exactly to plain SPICE.
+    the reference counts; the score is their harmonic mean. Each tuple side is
+    normalized as by normalize_tuples (None counts as no tuples) and then
+    canonicalized once with the synonyms. With no directions on either side
+    this reduces exactly to plain SPICE.
     """
-    cand, ref = _canonical_sets(candidate_tuples, reference_tuples, synonyms)
+    cand = _canonical(normalize_tuples(() if candidate_tuples is None else candidate_tuples), synonyms)
+    ref = _canonical(normalize_tuples(() if reference_tuples is None else reference_tuples), synonyms)
     return _spice_d(cand, ref, candidate_dirs, reference_dirs)
+
+
+def spice_score(
+    candidate: Iterable[Sequence[str]] | None,
+    reference: Iterable[Sequence[str]] | None,
+    synonyms: SynonymMap | None = None,
+) -> tuple[float, float, float]:
+    """Plain SPICE: tuple precision, recall, and their harmonic mean.
+
+    This is spice_d_score with no direction labels on either side, so tuples
+    are normalized and canonicalized the same way, and precision and recall
+    always land in [0, 1].
+    """
+    r = spice_d_score(candidate, reference, (), (), synonyms)
+    return r.pr_s, r.re_s, r.spice
 
 
 def _spice_d(
@@ -269,15 +233,18 @@ class ScoringInput:
             object.__setattr__(self, "tuples", normalize_tuples(self.tuples))
 
 
-def _resolve_directions(item: ScoringInput, taxonomy: DirectionTaxonomy) -> list[str]:
-    if item.directions is not None:
-        unknown = sorted(set(item.directions) - taxonomy.label_set)
-        if unknown:
-            raise ValueError(
-                f"direction labels not in taxonomy {taxonomy.name!r}: {', '.join(unknown)}"
-            )
-        return list(item.directions)
-    return direction_labels(item.instruction, taxonomy)
+def check_labels(labels: Iterable[str], taxonomy: DirectionTaxonomy) -> None:
+    """Raise ValueError naming every label that is not a class of the taxonomy."""
+    unknown = sorted(set(labels) - taxonomy.label_set)
+    if unknown:
+        raise ValueError(f"direction labels not in taxonomy {taxonomy.name!r}: {', '.join(unknown)}")
+
+
+def _resolve_directions(item: ScoringInput, taxonomy: DirectionTaxonomy) -> Sequence[str]:
+    if item.directions is None:
+        return direction_labels(item.instruction, taxonomy)
+    check_labels(item.directions, taxonomy)
+    return item.directions
 
 
 def score_pair(
@@ -294,6 +261,12 @@ def score_pair(
     the six score fields are averaged and the counts are those of the best
     reference. If the candidate or any reference lacks tuple annotations the
     whole record is scored on directions alone and flagged direction_only.
+
+    Each side's direction labels are its explicit directions, which must be
+    classes of the taxonomy (else ValueError), or else the labels parsed from
+    its instruction. Its tuples were normalized when the ScoringInput was
+    built; they are canonicalized with the synonyms once per side, and every
+    comparison uses the arithmetic of spice_d_score.
     """
     if not references:
         raise ValueError("at least one reference is required")
@@ -302,11 +275,9 @@ def score_pair(
 
     direction_only = candidate.tuples is None or any(r.tuples is None for r in references)
 
-    def prepared(item: ScoringInput) -> tuple[frozenset[SemanticTuple], list[str]]:
-        tuples: frozenset[SemanticTuple] = frozenset() if direction_only else item.tuples
-        if synonyms is not None:
-            tuples = synonyms.canonical_set(tuples)
-        return tuples, _resolve_directions(item, taxonomy)
+    def prepared(item: ScoringInput) -> tuple[frozenset[SemanticTuple], Sequence[str]]:
+        tuples = frozenset() if direction_only else item.tuples
+        return _canonical(tuples, synonyms), _resolve_directions(item, taxonomy)
 
     cand_tuples, cand_dirs = prepared(candidate)
     reports = []

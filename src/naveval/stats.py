@@ -33,26 +33,6 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 @dataclass(frozen=True)
-class PairedScores:
-    """Metric and human scores paired by instruction id."""
-
-    ids: tuple[str, ...]
-    metric: tuple[float, ...]
-    human: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if not (len(self.ids) == len(self.metric) == len(self.human)):
-            raise ValueError("ids, metric, and human must have equal length")
-        if len(self.ids) < 2:
-            raise ValueError("at least two paired scores are required")
-        if not all(math.isfinite(v) for v in self.metric + self.human):
-            raise ValueError("scores must be finite")
-
-    def correlation(self) -> float:
-        return pearson(self.metric, self.human)
-
-
-@dataclass(frozen=True)
 class MetricCorrelation:
     metric: str
     pearson: float

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -187,6 +188,12 @@ class TestExpandAlignment:
         with pytest.raises(ValueError, match="sub-instructions"):
             expand_alignment(a, [(0, 3)], n_words=3)
 
+    def test_out_of_order_spans_rejected(self):
+        """Spans that partition the words out of order would give a non-monotone target."""
+        a = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="non-decreasing"):
+            expand_alignment(a, [(1, 3), (0, 1)], n_words=3)
+
 
 class TestTargetFromWordMap:
     def test_valid_map(self):
@@ -305,6 +312,13 @@ class TestContrastiveLoss:
             base = contrastive_loss(panos, words, a_prime)
             shifted = contrastive_loss(panos_aug, words_aug, a_prime)
             assert abs(base - shifted) < 1e-9
+
+    def test_aligned_logit_far_below_row_maximum_stays_finite(self):
+        """The aligned mass underflows in linear space; in log space the loss is its exact value."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss = contrastive_loss([[1.0, 0.0], [0.0, 1.0]], [[1000.0, 0.0]], [[0, 1]])
+        assert loss == pytest.approx(1000.0)
 
     def test_all_zero_target_row_rejected(self):
         with pytest.raises(ValueError, match="row 0"):

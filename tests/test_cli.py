@@ -17,7 +17,7 @@ from naveval.align import (
     softmax_attention,
     target_from_word_map,
 )
-from naveval.cli import main
+from naveval.cli import build_parser, main
 
 HALF_SQRT2 = 0.7071067811865476
 
@@ -139,7 +139,34 @@ class TestScore:
         write_jsonl(refs, [{"id": "a", "text": "go on"}])
         code, _, err = run_cli(capsys, "score", str(cands), str(refs))
         assert code == 2
-        assert "sideways" in err
+        assert f"{cands}:1: direction labels not in taxonomy 'r2r': sideways" in err
+
+    @pytest.mark.parametrize("ref_id", ["a", "b"], ids=["used", "unused"])
+    def test_unknown_reference_label_checked_at_load(self, capsys, tmp_path, ref_id):
+        """Every reference record is checked, also one whose id no candidate has."""
+        cands = tmp_path / "c.jsonl"
+        write_jsonl(cands, [{"id": "a", "text": "turn left"}])
+        refs = tmp_path / "r.jsonl"
+        write_jsonl(
+            refs,
+            [
+                {"id": "a", "text": "turn left"},
+                {"id": ref_id, "text": "go up", "directions": ["left", "upward"]},
+            ],
+        )
+        code, out, err = run_cli(capsys, "score", str(cands), str(refs))
+        assert code == 2
+        assert out == ""
+        assert f"{refs}:2: direction labels not in taxonomy 'r2r': upward" in err
+
+    def test_unknown_label_reported_before_missing_id(self, capsys, tmp_path):
+        cands = tmp_path / "c.jsonl"
+        write_jsonl(cands, [{"id": "a", "text": "turn left"}, {"id": "b", "text": "x", "directions": ["up"]}])
+        refs = tmp_path / "r.jsonl"
+        write_jsonl(refs, [{"id": "a", "text": "turn left"}])
+        code, _, err = run_cli(capsys, "score", str(cands), str(refs))
+        assert code == 2
+        assert f"{cands}:2:" in err and "missing" not in err
 
     def test_synonyms_flag_merges_tuple_vocab(self, capsys, tmp_path):
         cands = tmp_path / "c.jsonl"
@@ -380,6 +407,44 @@ class TestCorrelate:
         assert abs(entry["pearson"] - 0.8) < 1e-12
         assert "removed 1" in err
 
+    def test_min_directions_counts_explicit_directions(self, capsys, tmp_path):
+        table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,3\nq3,3,2\nq4,4,4\nq5,9,0\n")
+        instructions = tmp_path / "instr.jsonl"
+        write_jsonl(
+            instructions,
+            [
+                {"id": "q1", "text": "walk on", "directions": ["left", "right"]},
+                {"id": "q2", "text": "walk on", "directions": ["left", "left"]},
+                {"id": "q3", "text": "walk on", "directions": ["around", "right", "left"]},
+                {"id": "q4", "text": "turn left", "directions": ["left", "right"]},
+                {"id": "q5", "text": "turn left then turn right", "directions": ["right"]},
+            ],
+        )
+        code, out, err = run_cli(
+            capsys, "correlate", table, "--min-directions", "2", "--instructions", str(instructions)
+        )
+        assert code == 0
+        (entry,) = json.loads(out)
+        assert entry["n"] == 4
+        assert abs(entry["pearson"] - 0.8) < 1e-12
+        assert "removed 1" in err
+
+    def test_min_directions_unknown_label(self, capsys, tmp_path):
+        table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\n")
+        instructions = tmp_path / "instr.jsonl"
+        write_jsonl(
+            instructions,
+            [
+                {"id": "q1", "text": "turn left"},
+                {"id": "q2", "text": "go up", "directions": ["left", "right", "upward"]},
+            ],
+        )
+        code, _, err = run_cli(
+            capsys, "correlate", table, "--min-directions", "1", "--instructions", str(instructions)
+        )
+        assert code == 2
+        assert f"{instructions}:2: direction labels not in taxonomy 'r2r': upward" in err
+
     def test_min_directions_unknown_table_id(self, capsys, tmp_path):
         table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq9,2,2\n")
         instructions = tmp_path / "instr.jsonl"
@@ -501,3 +566,33 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_each_subcommand_has_only_its_own_flags(self):
+        def flags(parser):
+            return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+
+        subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        kb_query = next(a for a in subcommands["kb"]._actions if a.dest == "kb_command").choices["query"]
+        output = {"--out", "--quiet"}
+        assert flags(subcommands["score"]) == output | {"--taxonomy", "--synonyms", "--aggregation"}
+        assert flags(subcommands["align"]) == output | {"--ce", "--lambda1", "--lambda2", "--eps"}
+        assert flags(subcommands["directions"]) == output | {"--taxonomy", "--text"}
+        assert flags(subcommands["chunk"]) == output | {"--text"}
+        assert flags(subcommands["correlate"]) == output | {"--taxonomy", "--min-directions", "--instructions"}
+        assert flags(kb_query) == output | {"--kb", "--entity", "--k"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kb", "query", "--kb", "f.tsv", "--entity", "sofa", "--lambda1", "3"],
+            ["score", "c.jsonl", "r.jsonl", "--eps", "5"],
+            ["chunk", "--text", "turn left", "--taxonomy", "urban"],
+            ["align", "f.json", "--aggregation", "mean"],
+        ],
+        ids=["kb-lambda1", "score-eps", "chunk-taxonomy", "align-aggregation"],
+    )
+    def test_foreign_flag_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

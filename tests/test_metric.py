@@ -5,10 +5,8 @@ import pytest
 
 from naveval.metric import (
     ScoringInput,
-    SemanticTupleSet,
     SynonymMap,
     lcs_length,
-    match_tuples,
     normalize_tuples,
     score_pair,
     spice_d_score,
@@ -62,10 +60,6 @@ class TestNormalizeTuples:
         with pytest.raises(ValueError, match="nonempty"):
             normalize_tuples([["door", " "]])
 
-    def test_tuple_set_wrapper(self):
-        ts = SemanticTupleSet.from_raw([["door"]], source="reference")
-        assert len(ts) == 1 and ts.source == "reference"
-
 
 class TestSynonymMap:
     def test_first_member_is_representative(self):
@@ -88,22 +82,28 @@ class TestSynonymMap:
             SynonymMap.load(bad)
 
 
-class TestMatchTuples:
+def tuple_matches(candidate, reference, synonyms=None):
+    return spice_d_score(candidate, reference, (), (), synonyms).n_tuple_matches
+
+
+class TestTupleMatches:
     def test_exact_set_intersection(self):
-        assert match_tuples([["door"], ["door", "white"]], [["door"], ["wall"]]) == 1
+        assert tuple_matches([["door"], ["door", "white"]], [["door"], ["wall"]]) == 1
 
     def test_synonyms_bridge_surface_forms(self):
         syn = SynonymMap([["sofa", "couch"]])
-        assert match_tuples([["sofa"]], [["couch"]], syn) == 1
-        assert match_tuples([["sofa"]], [["couch"]]) == 0
+        assert tuple_matches([["sofa"]], [["couch"]], syn) == 1
+        assert tuple_matches([["sofa"]], [["couch"]]) == 0
 
     def test_each_candidate_tuple_matches_at_most_once(self):
         syn = SynonymMap([["sofa", "couch"]])
         # Both reference tuples collapse to (sofa,); the single candidate matches once.
-        assert match_tuples([["sofa"]], [["sofa"], ["couch"]], syn) == 1
+        assert tuple_matches([["sofa"]], [["sofa"], ["couch"]], syn) == 1
 
     def test_none_is_empty(self):
-        assert match_tuples(None, [["door"]]) == 0
+        assert tuple_matches(None, [["door"]]) == 0
+        report = spice_d_score(None, None, ["left"], ["left"])
+        assert (report.n_cand_tuples, report.n_ref_tuples, report.spice_d) == (0, 0, 1.0)
 
 
 class TestSpiceScore:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from naveval.stats import PairedScores, correlate_metrics, pearson
+from naveval.stats import correlate_metrics, pearson
 
 
 class TestPearson:
@@ -63,28 +63,6 @@ class TestPearson:
             except ValueError:
                 continue
             assert -1.0 - 1e-12 <= r <= 1.0 + 1e-12
-
-
-class TestPairedScores:
-    def test_correlation(self):
-        scores = PairedScores(
-            ids=("a", "b", "c", "d"),
-            metric=(1.0, 2.0, 3.0, 4.0),
-            human=(1.0, 3.0, 2.0, 4.0),
-        )
-        assert abs(scores.correlation() - 0.8) < 1e-12
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            PairedScores(ids=("a",), metric=(1.0, 2.0), human=(1.0, 2.0))
-
-    def test_minimum_size(self):
-        with pytest.raises(ValueError):
-            PairedScores(ids=("a",), metric=(1.0,), human=(1.0,))
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            PairedScores(ids=("a", "b"), metric=(1.0, float("nan")), human=(1.0, 2.0))
 
 
 class TestCorrelateMetrics:
