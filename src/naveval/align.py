@@ -34,22 +34,25 @@ def _as_hidden_matrix(value: object, name: str = "vectors") -> np.ndarray:
     return arr
 
 
+def _matching_widths(a: object, a_name: str, b: object, b_name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce two feature matrices and check that their rows have the same width."""
+    x, y = _as_hidden_matrix(a, a_name), _as_hidden_matrix(b, b_name)
+    if x.shape[1] != y.shape[1]:
+        raise ValueError(f"dimension mismatch: {a_name} have {x.shape[1]}, {b_name} have {y.shape[1]}")
+    return x, y
+
+
 def _unit_rows(arr: np.ndarray, name: str) -> np.ndarray:
     norms = np.linalg.norm(arr, axis=1)
-    for i, n in enumerate(norms):
-        if n == 0.0:
-            raise ValueError(f"zero-norm vector at {name}[{i}]")
+    zero = np.flatnonzero(norms == 0.0)
+    if zero.size:
+        raise ValueError(f"zero-norm vector at {name}[{zero[0]}]")
     return arr / norms[:, None]
 
 
 def build_cost(sub_instructions: object, panoramas: object) -> np.ndarray:
     """Pairwise cosine-distance cost matrix, entries clipped to [0, 2]."""
-    subs = _as_hidden_matrix(sub_instructions, "sub_instructions")
-    panos = _as_hidden_matrix(panoramas, "panoramas")
-    if subs.shape[1] != panos.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: sub_instructions have {subs.shape[1]}, panoramas have {panos.shape[1]}"
-        )
+    subs, panos = _matching_widths(sub_instructions, "sub_instructions", panoramas, "panoramas")
     cost = 1.0 - _unit_rows(subs, "sub_instructions") @ _unit_rows(panos, "panoramas").T
     np.clip(cost, 0.0, 2.0, out=cost)
     return cost
@@ -64,12 +67,7 @@ def dtw_align(cost: object) -> np.ndarray:
     (previous sub-instruction), then the horizontal one, which makes the
     returned binary matrix deterministic.
     """
-    c = np.asarray(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
-        raise ValueError(f"cost matrix must be a nonempty 2-D array, got shape {c.shape}")
-    if not np.isfinite(c).all():
-        raise ValueError("cost matrix entries must be finite")
-
+    c = _as_hidden_matrix(cost, "cost matrix")
     m, n = c.shape
     acc = np.empty((m, n))
     acc[0, 0] = c[0, 0]
@@ -101,18 +99,24 @@ def dtw_align(cost: object) -> np.ndarray:
     return a
 
 
+def _as_binary(value: object, name: str) -> np.ndarray:
+    """Check for a nonempty 2-D array whose entries are all 0 or 1."""
+    arr = np.asarray(value)
+    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
+        raise ValueError(f"{name} must be a nonempty 2-D array")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError(f"{name} entries must be 0 or 1")
+    return arr
+
+
 def validate_alignment_matrix(a: object) -> None:
     """Raise ValueError unless the matrix is a single monotone staircase path.
 
-    Checks: binary entries, both corner cells set, the set cells form one
-    connected path using only right/down/diagonal steps, and every row and
-    column is covered.
+    Checks: binary entries, both corner cells set, and the set cells form one
+    connected path using only right/down/diagonal steps. Such a path visits
+    every row and column.
     """
-    arr = np.asarray(a)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError("alignment matrix must be a nonempty 2-D array")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("alignment matrix entries must be 0 or 1")
+    arr = _as_binary(a, "alignment matrix")
     m, n = arr.shape
     ones = {(int(i), int(j)) for i, j in zip(*np.nonzero(arr))}
     if (0, 0) not in ones or (m - 1, n - 1) not in ones:
@@ -133,8 +137,6 @@ def validate_alignment_matrix(a: object) -> None:
         visited += 1
     if visited != len(ones):
         raise ValueError("alignment matrix holds cells outside the path")
-    if not arr.any(axis=1).all() or not arr.any(axis=0).all():
-        raise ValueError("alignment path must cover every row and column")
 
 
 @dataclass(frozen=True)
@@ -201,12 +203,8 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
 
 
 def _as_target(a_prime: object) -> np.ndarray:
-    arr = a_prime.a_prime if isinstance(a_prime, TargetMatrix) else np.asarray(a_prime)
-    if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
-        raise ValueError("target matrix must be a nonempty 2-D array")
-    if not np.isin(arr, (0, 1)).all():
-        raise ValueError("target matrix entries must be 0 or 1")
-    return arr.astype(float)
+    arr = a_prime.a_prime if isinstance(a_prime, TargetMatrix) else a_prime
+    return _as_binary(arr, "target matrix").astype(float)
 
 
 def _check_attention(beta: object, shape: tuple[int, int]) -> np.ndarray:
@@ -250,6 +248,12 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return top + np.log(np.exp(x - top).sum(axis=1, keepdims=True))
 
 
+def _logits(words: object, panoramas: object) -> np.ndarray:
+    """Word-panorama dot products, one row per word."""
+    w, p = _matching_widths(words, "words", panoramas, "panoramas")
+    return w @ p.T
+
+
 def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float:
     """Softmax contrastive loss pulling word features toward aligned panoramas.
 
@@ -259,31 +263,21 @@ def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float
     the aligned logits minus the logsumexp over the row, so it is finite for
     finite features and invariant to adding a per-word constant.
     """
-    p = _as_hidden_matrix(panoramas, "panoramas")
-    w = _as_hidden_matrix(words, "words")
-    if p.shape[1] != w.shape[1]:
-        raise ValueError(f"dimension mismatch: panoramas have {p.shape[1]}, words have {w.shape[1]}")
+    logits = _logits(words, panoramas)
     target = _as_target(a_prime)
-    if target.shape != (w.shape[0], p.shape[0]):
-        raise ValueError(
-            f"target shape {target.shape} does not match ({w.shape[0]} words, {p.shape[0]} panoramas)"
-        )
-    row_sums = target.sum(axis=1)
-    if (row_sums == 0).any():
-        o = int(np.argmax(row_sums == 0))
-        raise ValueError(f"target row {o} has no aligned viewpoint")
-    logits = w @ p.T
+    if target.shape != logits.shape:
+        n_w, n_p = logits.shape
+        raise ValueError(f"target shape {target.shape} does not match ({n_w} words, {n_p} panoramas)")
+    empty = np.flatnonzero(target.sum(axis=1) == 0)
+    if empty.size:
+        raise ValueError(f"target row {empty[0]} has no aligned viewpoint")
     per_word = _logsumexp(np.where(target > 0, logits, -np.inf)) - _logsumexp(logits)
     return float(-per_word.mean())
 
 
 def softmax_attention(words: object, panoramas: object) -> np.ndarray:
     """Row-softmax of word-panorama dot products; rows sum to 1."""
-    w = _as_hidden_matrix(words, "words")
-    p = _as_hidden_matrix(panoramas, "panoramas")
-    if w.shape[1] != p.shape[1]:
-        raise ValueError(f"dimension mismatch: words have {w.shape[1]}, panoramas have {p.shape[1]}")
-    logits = w @ p.T
+    logits = _logits(words, panoramas)
     return np.exp(logits - _logsumexp(logits))
 
 

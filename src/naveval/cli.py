@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -72,13 +73,19 @@ def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> tuple
         raise SchemaError(f"{where}: {exc}") from None
 
 
-def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[tuple[str, ScoringInput]]:
+def _read_text(path: Path) -> str:
+    """A whole input file as text: unreadable is an input error, not UTF-8 a schema error."""
     try:
-        raw = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
     except OSError as exc:
         raise InputError(str(exc)) from None
+
+
+def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[tuple[str, ScoringInput]]:
     records = []
-    for lineno, line in enumerate(raw.splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         try:
@@ -89,13 +96,18 @@ def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[tuple[str, Scor
     return records
 
 
+def _by_unique_id(records: list[tuple[str, ScoringInput]], path: str, kind: str) -> dict[str, ScoringInput]:
+    by_id: dict[str, ScoringInput] = {}
+    for rid, item in records:
+        if rid in by_id:
+            raise SchemaError(f"{path}: duplicate {kind} id {rid!r}")
+        by_id[rid] = item
+    return by_id
+
+
 def _load_json(path: Path) -> object:
     try:
-        raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    try:
-        return json.loads(raw)
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from None
 
@@ -139,8 +151,8 @@ def _note(args: argparse.Namespace, message: str) -> None:
 def _taxonomy_from_args(args: argparse.Namespace) -> DirectionTaxonomy:
     try:
         return load_taxonomy(args.taxonomy)
-    except FileNotFoundError as exc:
-        raise InputError(f"taxonomy {args.taxonomy!r} not found: {exc}") from None
+    except OSError as exc:
+        raise InputError(f"taxonomy {args.taxonomy!r} cannot be read: {exc}") from None
     except ValueError as exc:
         raise SchemaError(f"taxonomy {args.taxonomy!r}: {exc}") from None
 
@@ -162,27 +174,23 @@ def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
 
 def _cmd_score(args: argparse.Namespace) -> int:
     taxonomy = _taxonomy_from_args(args)
-    candidates = _load_jsonl(Path(args.candidates), taxonomy)
-    if not candidates:
+    records = _load_jsonl(Path(args.candidates), taxonomy)
+    if not records:
         raise InputError(f"{args.candidates}: no candidate records")
-    seen: set[str] = set()
-    for rid, _ in candidates:
-        if rid in seen:
-            raise SchemaError(f"{args.candidates}: duplicate candidate id {rid!r}")
-        seen.add(rid)
+    candidates = _by_unique_id(records, args.candidates, "candidate")
 
     references: dict[str, list[ScoringInput]] = {}
     for rid, ref in _load_jsonl(Path(args.references), taxonomy):
         references.setdefault(rid, []).append(ref)
 
-    missing = [rid for rid, _ in candidates if rid not in references]
+    missing = [rid for rid in candidates if rid not in references]
     if missing:
         raise InputError("candidate ids missing from references: " + ", ".join(missing))
 
     synonyms = _synonyms_from_args(args)
 
     rows = []
-    for rid, cand in candidates:
+    for rid, cand in candidates.items():
         refs = references[rid]
         try:
             report = score_pair(cand, refs, taxonomy, synonyms, aggregation=args.aggregation)
@@ -196,7 +204,6 @@ def _cmd_score(args: argparse.Namespace) -> int:
         "mean_spice_d": sum(r["spice_d"] for r in rows) / n,
         "n_records": n,
         "n_direction_only": sum(1 for r in rows if r["direction_only"]),
-        "n_dropped": 0,
     }
     doc = {
         "taxonomy": taxonomy.name,
@@ -303,33 +310,26 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
 
 
 def _read_score_table(path: Path) -> tuple[list[str], dict[str, list[float | None]], list[float | None]]:
+    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
-        handle = path.open(encoding="utf-8", newline="")
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    with handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path}: empty table") from None
-        if len(header) < 3 or header[0] != "id" or header[-1] != "human":
-            raise SchemaError(
-                f"{path}: header must be 'id', one or more metric names, then 'human'"
-            )
-        metric_names = header[1:-1]
-        ids: list[str] = []
-        columns: dict[str, list[float | None]] = {name: [] for name in metric_names}
-        human: list[float | None] = []
-        for lineno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise SchemaError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-            ids.append(row[0])
-            for name, cell in zip(metric_names, row[1:-1]):
-                columns[name].append(_parse_cell(cell, path, lineno))
-            human.append(_parse_cell(row[-1], path, lineno))
+        header = next(reader)
+    except StopIteration:
+        raise SchemaError(f"{path}: empty table") from None
+    if len(header) < 3 or header[0] != "id" or header[-1] != "human":
+        raise SchemaError(f"{path}: header must be 'id', one or more metric names, then 'human'")
+    metric_names = header[1:-1]
+    ids: list[str] = []
+    columns: dict[str, list[float | None]] = {name: [] for name in metric_names}
+    human: list[float | None] = []
+    for lineno, row in enumerate(reader, 2):
+        if not row:
+            continue
+        if len(row) != len(header):
+            raise SchemaError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+        ids.append(row[0])
+        for name, cell in zip(metric_names, row[1:-1]):
+            columns[name].append(_parse_cell(cell, path, lineno))
+        human.append(_parse_cell(row[-1], path, lineno))
     return ids, columns, human
 
 
@@ -346,19 +346,22 @@ def _parse_cell(cell: str, path: Path, lineno: int) -> float | None:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     ids, columns, human = _read_score_table(Path(args.table))
 
+    if args.instructions and args.min_directions is None:
+        raise InputError("--instructions requires --min-directions with the minimum label count")
     if args.min_directions is not None:
         if args.min_directions < 0:
             raise InputError("--min-directions must be nonnegative")
         if not args.instructions:
             raise InputError("--min-directions requires --instructions with the instruction texts")
         taxonomy = _taxonomy_from_args(args)
-        n_dirs = {rid: len(item.directions) for rid, item in _load_jsonl(Path(args.instructions), taxonomy)}
-        unknown = [rid for rid in ids if rid not in n_dirs]
+        records = _load_jsonl(Path(args.instructions), taxonomy)
+        instructions = _by_unique_id(records, args.instructions, "instruction")
+        unknown = [rid for rid in ids if rid not in instructions]
         if unknown:
             raise InputError(
                 "table ids missing from the instructions file: " + ", ".join(unknown)
             )
-        keep = [i for i, rid in enumerate(ids) if n_dirs[rid] >= args.min_directions]
+        keep = [i for i, rid in enumerate(ids) if len(instructions[rid].directions) >= args.min_directions]
         n_filtered = len(ids) - len(keep)
         ids = [ids[i] for i in keep]
         columns = {name: [col[i] for i in keep] for name, col in columns.items()}
@@ -384,8 +387,6 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_kb(args: argparse.Namespace) -> int:
-    if args.kb_command != "query":
-        raise InputError(f"unknown kb subcommand {args.kb_command!r}")
     try:
         kb = load_kb(Path(args.kb))
     except OSError as exc:

@@ -99,7 +99,10 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     Blank lines and lines starting with '#' are skipped. All malformed rows
     are reported together, with their line numbers.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise KnowledgeBaseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
     facts: list[KnowledgeFact] = []
     problems: list[str] = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -111,18 +114,15 @@ def load_kb(path: str | Path) -> KnowledgeBase:
             problems.append(f"line {lineno}: expected 4 tab-separated columns, got {len(parts)}")
             continue
         head, relation, tail, weight_text = (p.strip() for p in parts)
-        if not (head and relation and tail):
-            problems.append(f"line {lineno}: empty column")
-            continue
         try:
             weight = float(weight_text)
         except ValueError:
             problems.append(f"line {lineno}: non-numeric weight {weight_text!r}")
             continue
-        if not math.isfinite(weight):
-            problems.append(f"line {lineno}: weight must be finite, got {weight_text!r}")
-            continue
-        facts.append(KnowledgeFact(head=head, relation=relation, tail=tail, weight=weight))
+        try:
+            facts.append(KnowledgeFact(head=head, relation=relation, tail=tail, weight=weight))
+        except ValueError as exc:
+            problems.append(f"line {lineno}: {exc}")
     if problems:
         raise KnowledgeBaseError(f"{path}: " + "; ".join(problems))
     return KnowledgeBase(facts)

@@ -134,6 +134,10 @@ class TestDtwAlign:
         with pytest.raises(ValueError, match="finite"):
             dtw_align([[0.0, np.nan]])
 
+    def test_ragged_cost_rejected(self):
+        with pytest.raises(ValueError, match="cost matrix must be a rectangular array"):
+            dtw_align([[0.0, 1.0], [0.5]])
+
 
 class TestValidateAlignmentMatrix:
     def test_accepts_valid_staircase(self):
@@ -247,6 +251,10 @@ class TestAttentionCoverageLoss:
         target = TargetMatrix(a_prime=np.array([[1, 0]]), word_to_sub=(0,))
         assert attention_coverage_loss([[1.0, 0.0]], target) == 0.0
 
+    def test_non_binary_target_rejected(self):
+        with pytest.raises(ValueError, match="target matrix entries must be 0 or 1"):
+            attention_coverage_loss([[0.5, 0.5]], [[1.0, 0.5]])
+
     def test_sharp_attention_with_many_unaligned_columns_goes_negative(self):
         """The unaligned sum can exceed 1, so the literal loss dips below zero."""
         loss = attention_coverage_loss([[0.998, 0.001, 0.001]], [[1, 0, 0]])
@@ -328,6 +336,14 @@ class TestContrastiveLoss:
         with pytest.raises(ValueError, match="target shape"):
             contrastive_loss([[1.0, 0.0]], [[1.0, 0.0]], [[1, 0], [0, 1]])
 
+    def test_dimension_mismatch_names_words_first(self):
+        with pytest.raises(ValueError, match="dimension mismatch: words have 3, panoramas have 2"):
+            contrastive_loss([[1.0, 0.0]], [[1.0, 0.0, 0.0]], [[1]])
+
+    def test_non_binary_target_rejected(self):
+        with pytest.raises(ValueError, match="target matrix entries must be 0 or 1"):
+            contrastive_loss([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]], [[1, 2]])
+
 
 class TestSoftmaxAttention:
     def test_rows_sum_to_one(self):
@@ -336,6 +352,10 @@ class TestSoftmaxAttention:
         assert beta.shape == (3, 5)
         np.testing.assert_allclose(beta.sum(axis=1), np.ones(3), atol=1e-12)
         assert (beta > 0.0).all()
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch: words have 2, panoramas have 3"):
+            softmax_attention([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
 
 
 class TestTotalLoss:

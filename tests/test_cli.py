@@ -455,6 +455,62 @@ class TestCorrelate:
         assert code == 1
         assert "q9" in err
 
+    def test_instructions_requires_min_directions(self, capsys, tmp_path):
+        table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\n")
+        instructions = tmp_path / "instr.jsonl"
+        write_jsonl(instructions, [{"id": "q1", "text": "turn left"}, {"id": "q2", "text": "go"}])
+        code, out, err = run_cli(capsys, "correlate", table, "--instructions", str(instructions))
+        assert code == 1
+        assert out == ""
+        assert "--instructions requires --min-directions" in err
+
+    def test_duplicate_instruction_id(self, capsys, tmp_path):
+        table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\nq3,3,3\n")
+        instructions = tmp_path / "instr.jsonl"
+        write_jsonl(
+            instructions,
+            [
+                {"id": "q1", "text": "turn left"},
+                {"id": "q2", "text": "go"},
+                {"id": "q3", "text": "go"},
+                {"id": "q1", "text": "turn left then right"},
+            ],
+        )
+        code, out, err = run_cli(
+            capsys, "correlate", table, "--min-directions", "2", "--instructions", str(instructions)
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{instructions}: duplicate instruction id 'q1'" in err
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize(
+        "case", ["score", "correlate-table", "correlate-instructions", "align", "kb-query", "taxonomy-dir"]
+    )
+    def test_exit_code_not_traceback(self, capsys, tmp_path, case):
+        """Bytes that are not UTF-8 are a schema error naming the file; a directory is an input error."""
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"\xff\xfe not utf-8\n")
+        good = tmp_path / "good.jsonl"
+        write_jsonl(good, [{"id": "q1", "text": "turn left"}])
+        table = tmp_path / "table.csv"
+        table.write_text("id,m,human\nq1,1,1\n", encoding="utf-8")
+        argv, expected_code, named = {
+            "score": (["score", str(bad), str(good)], 2, bad),
+            "correlate-table": (["correlate", str(bad)], 2, bad),
+            "correlate-instructions": (
+                ["correlate", str(table), "--min-directions", "1", "--instructions", str(bad)], 2, bad
+            ),
+            "align": (["align", str(bad)], 2, bad),
+            "kb-query": (["kb", "query", "--kb", str(bad), "--entity", "sofa"], 2, bad),
+            "taxonomy-dir": (["directions", "--text", "turn left", "--taxonomy", str(tmp_path)], 1, tmp_path),
+        }[case]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == expected_code
+        assert out == ""
+        assert err.startswith("naveval: error: ") and str(named) in err
+
 
 class TestKbQuery:
     def test_top_k_order(self, capsys, kb_fixture_path):

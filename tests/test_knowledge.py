@@ -151,6 +151,18 @@ class TestLoadKb:
         with pytest.raises(OSError):
             load_kb(tmp_path / "nope.tsv")
 
+    def test_nonfinite_weight_reported_with_fact_message(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_text("sofa\tAtLocation\tliving room\tinf\n")
+        with pytest.raises(KnowledgeBaseError, match="line 1: fact weight must be finite"):
+            load_kb(path)
+
+    def test_undecodable_bytes_rejected(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        path.write_bytes(b"sofa\tAtLocation\t\xff\t1.0\n")
+        with pytest.raises(KnowledgeBaseError, match="not valid UTF-8"):
+            load_kb(path)
+
 
 class TestRetrieveFacts:
     def test_top_three_by_weight(self, kb_fixture_path):
