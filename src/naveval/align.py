@@ -8,7 +8,9 @@ softmax contrastive term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -66,36 +68,52 @@ def dtw_align(cost: object) -> np.ndarray:
     during backtracking prefer the diagonal predecessor, then the vertical one
     (previous sub-instruction), then the horizontal one, which makes the
     returned binary matrix deterministic.
+
+    Raises ValueError when the accumulated cost of the best path overflows.
     """
     c = _as_hidden_matrix(cost, "cost matrix")
     m, n = c.shape
-    acc = np.empty((m, n))
-    acc[0, 0] = c[0, 0]
-    for j in range(1, n):
-        acc[0, j] = acc[0, j - 1] + c[0, j]
-    for i in range(1, m):
-        acc[i, 0] = acc[i - 1, 0] + c[i, 0]
-        for j in range(1, n):
-            acc[i, j] = c[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+    # The DP runs on Python floats, which add exactly as float64 does, so
+    # every value and tie matches the numpy-scalar loop kept in the tests
+    # without boxing a np.float64 per cell. A prefix scan (cumsum/accumulate
+    # over numpy rows) would reassociate the additions and could break ties
+    # differently.
+    rows = c.tolist()
+    acc = [list(accumulate(rows[0]))]
+    for row in rows[1:]:
+        # Column 0 has only the vertical predecessor; inf stands in for the others.
+        diag = left = math.inf
+        cur = []
+        for cij, vert in zip(row, acc[-1]):
+            # min(diag, vert, left), keeping the first of equal values as min does.
+            best = diag
+            if vert < best:
+                best = vert
+            if left < best:
+                best = left
+            left = cij + best
+            cur.append(left)
+            diag = vert
+        acc.append(cur)
+    if not math.isfinite(acc[-1][-1]):
+        raise ValueError("cost matrix accumulates to a non-finite path cost")
 
-    a = np.zeros((m, n), dtype=int)
     i, j = m - 1, n - 1
-    a[i, j] = 1
-    while (i, j) != (0, 0):
-        if i == 0:
-            j -= 1
-        elif j == 0:
+    path = [i * n + j]
+    while i and j:
+        diag, vert, horiz = acc[i - 1][j - 1], acc[i - 1][j], acc[i][j - 1]
+        best = min(diag, vert, horiz)
+        if diag == best:
+            i, j = i - 1, j - 1
+        elif vert == best:
             i -= 1
         else:
-            diag, vert, horiz = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
-            best = min(diag, vert, horiz)
-            if diag == best:
-                i, j = i - 1, j - 1
-            elif vert == best:
-                i -= 1
-            else:
-                j -= 1
-        a[i, j] = 1
+            j -= 1
+        path.append(i * n + j)
+    # On the first row or column the rest of the path is forced.
+    path.extend(range(j - 1, -1, -1) if i == 0 else range((i - 1) * n, -1, -n))
+    a = np.zeros((m, n), dtype=int)
+    a.put(path, 1)
     return a
 
 
@@ -145,6 +163,13 @@ class TargetMatrix:
 
     a_prime: np.ndarray
     word_to_sub: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        # The one 0/1 check of a target; the losses trust it, so keep a
+        # read-only copy whose checked entries cannot change later.
+        arr = _as_binary(np.array(self.a_prime), "target matrix")
+        arr.flags.writeable = False
+        object.__setattr__(self, "a_prime", arr)
 
 
 def _sub_span(sub: object) -> tuple[int, int]:
@@ -203,8 +228,9 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
 
 
 def _as_target(a_prime: object) -> np.ndarray:
-    arr = a_prime.a_prime if isinstance(a_prime, TargetMatrix) else a_prime
-    return _as_binary(arr, "target matrix").astype(float)
+    if isinstance(a_prime, TargetMatrix):
+        return a_prime.a_prime
+    return _as_binary(a_prime, "target matrix")
 
 
 def _check_attention(beta: object, shape: tuple[int, int]) -> np.ndarray:

@@ -47,6 +47,49 @@ def brute_force_min_cost(cost):
     return best[0]
 
 
+def loop_dtw_align(cost):
+    """Reference DTW: the double loop over numpy scalars that dtw_align must agree with, ties included."""
+    c = np.asarray(cost, dtype=float)
+    m, n = c.shape
+    acc = np.empty((m, n))
+    acc[0, 0] = c[0, 0]
+    for j in range(1, n):
+        acc[0, j] = acc[0, j - 1] + c[0, j]
+    for i in range(1, m):
+        acc[i, 0] = acc[i - 1, 0] + c[i, 0]
+        for j in range(1, n):
+            acc[i, j] = c[i, j] + min(acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1])
+
+    a = np.zeros((m, n), dtype=int)
+    i, j = m - 1, n - 1
+    a[i, j] = 1
+    while (i, j) != (0, 0):
+        if i == 0:
+            j -= 1
+        elif j == 0:
+            i -= 1
+        else:
+            diag, vert, horiz = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
+            best = min(diag, vert, horiz)
+            if diag == best:
+                i, j = i - 1, j - 1
+            elif vert == best:
+                i -= 1
+            else:
+                j -= 1
+        a[i, j] = 1
+    return a
+
+
+COST_KINDS = {
+    "uniform": lambda rng, shape: rng.uniform(0.0, 2.0, size=shape),
+    "integer": lambda rng, shape: rng.integers(0, 3, size=shape).astype(float),
+    "one-decimal": lambda rng, shape: np.round(rng.uniform(0.0, 2.0, size=shape), 1),
+    "all-zero": lambda rng, shape: np.zeros(shape),
+    "negative": lambda rng, shape: -rng.uniform(0.0, 2.0, size=shape),
+}
+
+
 class TestBuildCost:
     def test_cosine_distance_values(self):
         cost = build_cost([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
@@ -137,6 +180,23 @@ class TestDtwAlign:
     def test_ragged_cost_rejected(self):
         with pytest.raises(ValueError, match="cost matrix must be a rectangular array"):
             dtw_align([[0.0, 1.0], [0.5]])
+
+    def test_overflowing_accumulation_rejected(self):
+        with pytest.raises(ValueError, match="non-finite path cost"):
+            dtw_align([[1e308, 1e308]])
+        with pytest.raises(ValueError, match="non-finite path cost"):
+            dtw_align([[-1e308] * 2] * 2)
+
+    @pytest.mark.parametrize("kind", sorted(COST_KINDS))
+    def test_matches_reference_loop_exactly(self, kind):
+        """Same matrix as the numpy-scalar loop, ties included, up to 50x300."""
+        rng = np.random.default_rng(sorted(COST_KINDS).index(kind))
+        make = COST_KINDS[kind]
+        shapes = [(1, 1), (1, 9), (9, 1), (1, 300), (50, 1), (25, 150), (50, 300), (300, 50)]
+        shapes += [(int(rng.integers(1, 13)), int(rng.integers(1, 41))) for _ in range(150)]
+        for shape in shapes:
+            cost = make(rng, shape)
+            assert np.array_equal(dtw_align(cost), loop_dtw_align(cost)), shape
 
 
 class TestValidateAlignmentMatrix:
@@ -246,6 +306,18 @@ class TestAttentionCoverageLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             attention_coverage_loss([[1.0, 0.0]], [[1, 0, 0]])
+
+    def test_hand_built_target_checked_at_construction(self):
+        with pytest.raises(ValueError, match="target matrix entries must be 0 or 1"):
+            TargetMatrix(a_prime=np.array([[1, 2]]), word_to_sub=(0,))
+
+    def test_target_matrix_entries_read_only(self):
+        raw = np.array([[1, 0]])
+        target = TargetMatrix(a_prime=raw, word_to_sub=(0,))
+        raw[0, 1] = 2
+        np.testing.assert_array_equal(target.a_prime, [[1, 0]])
+        with pytest.raises(ValueError, match="read-only"):
+            target.a_prime[0, 1] = 2
 
     def test_accepts_target_matrix_wrapper(self):
         target = TargetMatrix(a_prime=np.array([[1, 0]]), word_to_sub=(0,))

@@ -239,6 +239,23 @@ class TestAlign:
         doc = json.loads(out)
         assert abs(doc["total_loss"] - 0.5 * doc["l_att"]) < 1e-12
 
+    def test_each_matrix_checked_for_0_1_once(self, capsys, tmp_path, monkeypatch):
+        """One 0/1 check for the alignment matrix and one for the target, not one per loss."""
+        import naveval.align
+
+        calls = []
+        as_binary = naveval.align._as_binary
+
+        def counting(value, name):
+            calls.append(name)
+            return as_binary(value, name)
+
+        monkeypatch.setattr(naveval.align, "_as_binary", counting)
+        path = self.write_features(tmp_path, FEATURES)
+        code, _, _ = run_cli(capsys, "align", path, "--quiet")
+        assert code == 0
+        assert calls == ["alignment matrix", "target matrix"]
+
     def test_single_sub_instruction(self, capsys, tmp_path):
         doc = {
             "sub_instructions": [[1.0, 0.0]],
