@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .knowledge import DEFAULT_TOP_K, KnowledgeBaseError, load_kb, retrieve_facts
@@ -21,8 +22,9 @@ from .metric import ScoringInput, SynonymMap, check_labels, score_pair
 from .stats import correlate_metrics
 from .text import (
     DirectionTaxonomy,
+    _labels,
+    _words,
     chunk_instruction,
-    direction_labels,
     load_taxonomy,
     load_verb_lexicon,
     span_text,
@@ -48,7 +50,7 @@ def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> tuple
     """One JSONL corpus row as its id and its scoring input, fully validated.
 
     The direction labels are the explicit ones, checked against the taxonomy,
-    or else those parsed from the text here, so no tokenized text is kept.
+    or else those parsed from the text's words here, so no Instruction is built.
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: record must be a JSON object")
@@ -63,7 +65,7 @@ def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> tuple
         raise SchemaError(f"{where}: 'tuples' must be a list of string lists")
     directions = obj.get("directions")
     if directions is None:
-        directions = direction_labels(tokenize(text), taxonomy)
+        directions = _labels(_words(text), taxonomy)
     elif not isinstance(directions, list) or not all(isinstance(lab, str) and lab for lab in directions):
         raise SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
     try:
@@ -134,7 +136,10 @@ def _write_atomic(path: Path, text: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _write_atomic(Path(out), text)
+        try:
+            _write_atomic(Path(out), text)
+        except OSError as exc:
+            raise InputError(f"cannot write {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -170,6 +175,70 @@ def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
 
 # ---------------------------------------------------------------------------
 # score
+
+
+# One record of the score report as json.dumps(doc, indent=2) lays it out.
+_RECORD_LAYOUT = """    {
+      "id": %s,
+      "n_references": %r,
+      "spice": %r,
+      "spice_d": %r,
+      "pr_s": %r,
+      "re_s": %r,
+      "pr_sd": %r,
+      "re_sd": %r,
+      "counts": {
+        "cand_tuples": %r,
+        "ref_tuples": %r,
+        "tuple_matches": %r,
+        "cand_dirs": %r,
+        "ref_dirs": %r,
+        "dir_matches": %r
+      },
+      "direction_only": %s
+    }"""
+
+
+def _score_report_text(doc: dict) -> str:
+    """json.dumps(doc, indent=2) + "\n" for a score report, byte for byte.
+
+    With indent set, json.dumps runs its pure-Python encoder. This writes the
+    report's fixed layout and encodes the leaves as json does: strings with
+    its C encode_basestring_ascii, floats and ints with their __repr__.
+    """
+    records = ",\n".join(
+        _RECORD_LAYOUT
+        % (
+            encode_basestring_ascii(r["id"]),
+            r["n_references"],
+            r["spice"],
+            r["spice_d"],
+            r["pr_s"],
+            r["re_s"],
+            r["pr_sd"],
+            r["re_sd"],
+            r["counts"]["cand_tuples"],
+            r["counts"]["ref_tuples"],
+            r["counts"]["tuple_matches"],
+            r["counts"]["cand_dirs"],
+            r["counts"]["ref_dirs"],
+            r["counts"]["dir_matches"],
+            "true" if r["direction_only"] else "false",
+        )
+        for r in doc["records"]
+    )
+    records = f"[\n{records}\n  ]" if doc["records"] else "[]"
+    # Encoded JSON strings hold no raw newline, so indenting every line of
+    # the corpus block is the same as nesting it one level deeper.
+    corpus = json.dumps(doc["corpus"], indent=2).replace("\n", "\n  ")
+    return (
+        "{\n"
+        f'  "taxonomy": {encode_basestring_ascii(doc["taxonomy"])},\n'
+        f'  "aggregation": {encode_basestring_ascii(doc["aggregation"])},\n'
+        f'  "records": {records},\n'
+        f'  "corpus": {corpus}\n'
+        "}\n"
+    )
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
@@ -211,7 +280,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
         "records": rows,
         "corpus": corpus,
     }
-    _emit_json(doc, args.out)
+    _emit(_score_report_text(doc), args.out)
     _note(
         args,
         f"scored {n} records: mean SPICE {corpus['mean_spice']:.4f}, "
@@ -286,7 +355,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 def _cmd_directions(args: argparse.Namespace) -> int:
     taxonomy = _taxonomy_from_args(args)
-    labels = direction_labels(tokenize(args.text), taxonomy)
+    labels = _labels(_words(args.text), taxonomy)
     _emit(" ".join(labels) + "\n", args.out)
     return 0
 

@@ -51,6 +51,15 @@ class Instruction:
                 raise ValueError("token spans must be strictly increasing and within the raw text")
             prev_end = end
 
+    @classmethod
+    def _trusted(
+        cls, raw: str, tokens: tuple[str, ...], spans: tuple[tuple[int, int], ...]
+    ) -> "Instruction":
+        # For tokenize, whose output is valid by construction: skips the check.
+        instruction = object.__new__(cls)
+        instruction.__dict__.update(raw=raw, tokens=tokens, spans=spans)
+        return instruction
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -66,11 +75,18 @@ def tokenize(raw: str) -> Instruction:
     Total: any string, including the empty one, yields a valid Instruction.
     """
     matches = list(_TOKEN_RE.finditer(raw))
-    return Instruction(
-        raw=raw,
-        tokens=tuple(m.group().lower() for m in matches),
-        spans=tuple(m.span() for m in matches),
+    return Instruction._trusted(
+        raw, tuple(m.group().lower() for m in matches), tuple(m.span() for m in matches)
     )
+
+
+def _words(raw: str) -> tuple[str, ...]:
+    """tokenize(raw).tokens, without the spans and the Instruction.
+
+    Each token is lowercased on its own, as in tokenize: lowering the whole
+    text first differs at a final sigma ("ΑΣ.Β" gives "ας" here).
+    """
+    return tuple(map(str.lower, _TOKEN_RE.findall(raw)))
 
 
 @dataclass(frozen=True)
@@ -111,12 +127,12 @@ class DirectionTaxonomy:
                 if owner is not None and owner != label:
                     raise ValueError(f"phrase {phrase!r} appears under both {owner!r} and {label!r}")
                 index[toks] = label
-        # Greedy matcher: phrases grouped by first token, longest first.
-        matcher: dict[str, list[tuple[str, ...]]] = {}
-        for toks in index:
-            matcher.setdefault(toks[0], []).append(toks)
+        # Greedy matcher: (phrase, label) grouped by first token, longest first.
+        matcher: dict[str, list[tuple[tuple[str, ...], str]]] = {}
+        for toks, label in index.items():
+            matcher.setdefault(toks[0], []).append((toks, label))
         for options in matcher.values():
-            options.sort(key=lambda t: (-len(t), t))
+            options.sort(key=lambda option: (-len(option[0]), option[0]))
         object.__setattr__(self, "_phrase_index", index)
         object.__setattr__(self, "_matcher", matcher)
         object.__setattr__(self, "_label_set", frozenset(seen))
@@ -181,33 +197,44 @@ def _looks_like_path(s: str) -> bool:
     return s.endswith(".json") or os.sep in s or bool(os.altsep and os.altsep in s)
 
 
+def _scan(tokens: tuple[str, ...], taxonomy: DirectionTaxonomy) -> list[tuple[str, int, int]]:
+    """The scan of parse_directions, as (label, start, end) per matched phrase.
+
+    Only a position whose token begins some phrase can match, so only those
+    positions are tried.
+    """
+    matcher: dict[str, list[tuple[tuple[str, ...], str]]] = taxonomy._matcher  # type: ignore[attr-defined]
+    found: list[tuple[str, int, int]] = []
+    end = 0  # the scan resumes here
+    for start in [i for i, tok in enumerate(tokens) if tok in matcher]:
+        if start < end:
+            continue
+        for phrase, label in matcher[tokens[start]]:
+            if tokens[start : start + len(phrase)] == phrase:
+                end = start + len(phrase)
+                found.append((label, start, end))
+                break
+    return found
+
+
+def _labels(tokens: tuple[str, ...], taxonomy: DirectionTaxonomy) -> list[str]:
+    return [label for label, _, _ in _scan(tokens, taxonomy)]
+
+
 def parse_directions(instruction: Instruction, taxonomy: DirectionTaxonomy) -> list[DirectionPhrase]:
     """Greedy longest-match scan for direction phrases, left to right.
 
     At each token position the longest matching phrase from any class wins and
     the scan resumes past it, so matched spans never overlap.
     """
-    matcher: dict[str, list[tuple[str, ...]]] = taxonomy._matcher  # type: ignore[attr-defined]
-    index = taxonomy.phrase_index
-    tokens = instruction.tokens
-    out: list[DirectionPhrase] = []
-    i = 0
-    while i < len(tokens):
-        matched = False
-        for phrase in matcher.get(tokens[i], ()):
-            if tokens[i : i + len(phrase)] == phrase:
-                out.append(DirectionPhrase(index[phrase], (i, i + len(phrase))))
-                i += len(phrase)
-                matched = True
-                break
-        if not matched:
-            i += 1
-    return out
+    return [
+        DirectionPhrase(label, (start, end)) for label, start, end in _scan(instruction.tokens, taxonomy)
+    ]
 
 
 def direction_labels(instruction: Instruction, taxonomy: DirectionTaxonomy) -> list[str]:
     """The ordered sequence of direction-class labels found in the instruction."""
-    return [p.class_label for p in parse_directions(instruction, taxonomy)]
+    return _labels(instruction.tokens, taxonomy)
 
 
 @dataclass(frozen=True)

@@ -582,6 +582,65 @@ class TestKbQuery:
         assert code == 1
 
 
+@pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
+def test_unwritable_out_is_input_error(tmp_path, mini_corpus_dir, target):
+    import naveval
+
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / "missing" / "x.json" if target == "missing-dir" else out_dir
+    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-m",
+            "naveval",
+            "score",
+            str(mini_corpus_dir / "candidates.jsonl"),
+            str(mini_corpus_dir / "references.jsonl"),
+            "--quiet",
+            "--out",
+            str(out),
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("naveval: error: ")
+    assert str(out) in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # No temp file is left next to the target.
+    assert list(tmp_path.iterdir()) == [out_dir]
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["directions", "--text", "turn left"],
+        ["chunk", "--text", "turn left and stop"],
+        ["align", "FEATURES"],
+        ["kb", "query", "--kb", "KB", "--entity", "sink"],
+    ],
+    ids=["directions", "chunk", "align", "kb-query"],
+)
+def test_out_to_directory_is_input_error_on_every_subcommand(capsys, tmp_path, kb_fixture_path, argv):
+    features = tmp_path / "features.json"
+    features.write_text(json.dumps(FEATURES), encoding="utf-8")
+    argv = [{"FEATURES": str(features), "KB": str(kb_fixture_path)}.get(a, a) for a in argv]
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    code, out, err = run_cli(capsys, *argv, "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("naveval: error: ") and str(out_dir) in err
+    assert list(out_dir.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["features.json", "out"]
+
+
 NUMPY_FREE_SCRIPT = """
 import json, pathlib, sys
 import naveval

@@ -1,0 +1,117 @@
+"""Property tests for the score path: tokenizer, phrase scan, SPICE-D and the
+score report writer; skipped when hypothesis is not installed."""
+
+import json
+
+import pytest
+
+from naveval.cli import _score_report_text
+from naveval.metric import spice_d_score
+from naveval.text import _labels, _words, direction_labels, load_taxonomy, tokenize
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+
+TAXONOMIES = {name: load_taxonomy(name) for name in ("r2r", "urban")}
+
+
+@PROPERTY_SETTINGS
+@given(st.text())
+def test_tokenize_spans_point_back_into_raw(raw):
+    ins = tokenize(raw)
+    prev_end = 0
+    for token, (start, end) in zip(ins.tokens, ins.spans, strict=True):
+        assert prev_end <= start < end <= len(raw)
+        assert raw[start:end].lower() == token
+        prev_end = end
+    assert _words(raw) == ins.tokens
+
+
+@st.composite
+def text_with_one_phrase(draw):
+    name = draw(st.sampled_from(sorted(TAXONOMIES)))
+    taxonomy = TAXONOMIES[name]
+    phrase, label = draw(st.sampled_from(sorted(taxonomy.phrase_index.items())))
+    phrase_tokens = {tok for p in taxonomy.phrase_index for tok in p}
+    before, after = draw(st.text()), draw(st.text())
+    # The surrounding text holds no token of any phrase, so it can neither
+    # match by itself nor extend the inserted phrase.
+    assume(not phrase_tokens & set(_words(before) + _words(after)))
+    return taxonomy, f"{before} {' '.join(phrase)} {after}", label
+
+
+@PROPERTY_SETTINGS
+@given(text_with_one_phrase())
+def test_inserted_phrase_is_parsed_back_to_its_label(case):
+    taxonomy, raw, label = case
+    assert direction_labels(tokenize(raw), taxonomy) == [label]
+    assert _labels(_words(raw), taxonomy) == [label]
+
+
+# A small vocabulary in mixed case and padding, so that tuples match often.
+words = st.sampled_from(["sofa", "Sofa", " door ", "door", "left of", "table", "TABLE", "red"])
+tuples = st.lists(st.lists(words, min_size=1, max_size=3), max_size=6)
+labels = st.lists(st.sampled_from(["left", "right", "around"]), max_size=6)
+sides = st.tuples(st.none() | tuples, labels)
+
+
+@PROPERTY_SETTINGS
+@given(sides, sides)
+def test_spice_d_and_its_parts_stay_in_unit_interval(cand, ref):
+    report = spice_d_score(cand[0], ref[0], cand[1], ref[1])
+    for value in (report.spice, report.spice_d, report.pr_s, report.re_s, report.pr_sd, report.re_sd):
+        assert 0.0 <= value <= 1.0
+
+
+@PROPERTY_SETTINGS
+@given(sides, sides)
+def test_swapping_sides_swaps_precision_and_recall(cand, ref):
+    forward = spice_d_score(cand[0], ref[0], cand[1], ref[1])
+    backward = spice_d_score(ref[0], cand[0], ref[1], cand[1])
+    assert (backward.pr_s, backward.re_s) == (forward.re_s, forward.pr_s)
+    assert (backward.pr_sd, backward.re_sd) == (forward.re_sd, forward.pr_sd)
+    assert (backward.spice, backward.spice_d) == (forward.spice, forward.spice_d)
+
+
+# Strings with the characters json escapes: quotes, backslashes, control
+# characters, U+2028 and anything outside ASCII.
+strings = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029\xe9\U0001f600'))
+floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, 1.0, 1 / 3, 1e-17, 5e-324]
+)
+counts = st.integers(min_value=0, max_value=10**6)
+COUNT_KEYS = ("cand_tuples", "ref_tuples", "tuple_matches", "cand_dirs", "ref_dirs", "dir_matches")
+
+
+@st.composite
+def records(draw):
+    record = {"id": draw(strings), "n_references": draw(counts)}
+    for key in ("spice", "spice_d", "pr_s", "re_s", "pr_sd", "re_sd"):
+        record[key] = draw(floats)
+    record["counts"] = {key: draw(counts) for key in COUNT_KEYS}
+    record["direction_only"] = draw(st.booleans())
+    return record
+
+
+@st.composite
+def report_docs(draw):
+    return {
+        "taxonomy": draw(strings),
+        "aggregation": draw(st.sampled_from(["max", "mean"]) | strings),
+        "records": draw(st.lists(records(), max_size=4)),
+        "corpus": {
+            "mean_spice": draw(floats),
+            "mean_spice_d": draw(floats),
+            "n_records": draw(counts),
+            "n_direction_only": draw(counts),
+        },
+    }
+
+
+@PROPERTY_SETTINGS
+@given(report_docs())
+def test_report_writer_matches_json_dumps(doc):
+    assert _score_report_text(doc) == json.dumps(doc, indent=2) + "\n"

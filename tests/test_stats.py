@@ -31,6 +31,18 @@ class TestPearson:
         with pytest.raises(ValueError, match="constant"):
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
+    def test_matches_scipy_pearsonr(self):
+        """scipy.stats.pearsonr as an oracle on seeded data, correlated and not."""
+        scipy_stats = pytest.importorskip("scipy.stats")
+        rng = random.Random(17)
+        for _ in range(200):
+            n = rng.randrange(2, 60)
+            slope = rng.choice([0.0, 0.3, -2.0])
+            x = [rng.gauss(0, rng.choice([1e-3, 1.0, 1e3])) for _ in range(n)]
+            y = [slope * v + rng.gauss(0, 1) for v in x]
+            expected = float(scipy_stats.pearsonr(x, y).statistic)
+            assert abs(pearson(x, y) - expected) < 1e-12
+
     def test_symmetry(self):
         rng = random.Random(5)
         for _ in range(100):

@@ -5,6 +5,8 @@ import pytest
 from naveval.text import (
     DirectionTaxonomy,
     Instruction,
+    _labels,
+    _words,
     chunk_instruction,
     direction_labels,
     load_taxonomy,
@@ -36,6 +38,22 @@ def loop_tokenize(raw):
         tokens.append(raw[start:].lower())
         spans.append((start, len(raw)))
     return tuple(tokens), tuple(spans)
+
+
+def loop_parse_directions(tokens, taxonomy):
+    """Reference scan: the greedy loop that tries every token position."""
+    out = []
+    i = 0
+    while i < len(tokens):
+        for length in sorted({len(p) for p in taxonomy.phrase_index}, reverse=True):
+            label = taxonomy.phrase_index.get(tokens[i : i + length])
+            if label is not None and i + length <= len(tokens):
+                out.append((label, i, i + length))
+                i += length
+                break
+        else:
+            i += 1
+    return out
 
 
 class TestTokenize:
@@ -87,6 +105,8 @@ class TestTokenize:
             raw = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 30)))
             ins = tokenize(raw)
             assert (ins.tokens, ins.spans) == loop_tokenize(raw), repr(raw)
+            assert _words(raw) == ins.tokens, repr(raw)
+            assert Instruction(raw, ins.tokens, ins.spans) == ins
 
     def test_separators_are_exactly_whitespace_and_punctuation(self):
         """Over every code point, a character is left out of all tokens exactly
@@ -100,6 +120,12 @@ class TestTokenize:
         expected = [i for i, ch in enumerate(raw) if ch.isspace() or ch in SEPARATOR_PUNCTUATION]
         assert separators == expected
         assert (ins.tokens, ins.spans) == loop_tokenize(raw)
+        assert _words(raw) == ins.tokens
+
+    def test_words_lower_each_token_like_tokenize(self):
+        """A final sigma lowers to ς at the end of a token and to σ mid-text."""
+        assert _words("ΑΣ.Β") == tokenize("ΑΣ.Β").tokens == ("ας", "β")
+        assert "ΑΣ.Β".lower() == "ασ.β"
 
     def test_instruction_validates_spans(self):
         with pytest.raises(ValueError):
@@ -228,6 +254,19 @@ class TestParseDirections:
             for p in phrases:
                 assert prev_end <= p.token_span[0] < p.token_span[1]
                 prev_end = p.token_span[1]
+
+    @pytest.mark.parametrize("name", ["r2r", "urban"])
+    def test_scan_matches_loop_over_every_position(self, name):
+        """Phrase tokens, their parts and filler in random order, as the reference loop finds them."""
+        taxonomy = load_taxonomy(name)
+        pool = sorted({tok for phrase in taxonomy.phrase_index for tok in phrase}) + ["the", "walk", "u"]
+        rng = random.Random(13)
+        for _ in range(3000):
+            tokens = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 12)))
+            expected = loop_parse_directions(tokens, taxonomy)
+            assert _labels(tokens, taxonomy) == [label for label, _, _ in expected]
+            ins = tokenize(" ".join(tokens))
+            assert [(p.class_label, *p.token_span) for p in parse_directions(ins, taxonomy)] == expected
 
     def test_deterministic(self, r2r):
         ins = tokenize("turn left and turn right then turn around")
