@@ -9,11 +9,12 @@ softmax contrastive term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
+
+from ._record import Record, _set
 
 DEFAULT_EPS = 1e-8
 DEFAULT_LAMBDA1 = 1.0
@@ -157,19 +158,18 @@ def validate_alignment_matrix(a: object) -> None:
         raise ValueError("alignment matrix holds cells outside the path")
 
 
-@dataclass(frozen=True)
-class TargetMatrix:
+class TargetMatrix(Record):
     """Word-level alignment targets: row o copies the alignment row of the sub-instruction owning word o."""
 
-    a_prime: np.ndarray
-    word_to_sub: tuple[int, ...]
+    __slots__ = _fields = ("a_prime", "word_to_sub")
 
-    def __post_init__(self) -> None:
+    def __init__(self, a_prime: np.ndarray, word_to_sub: tuple[int, ...]) -> None:
         # The one 0/1 check of a target; the losses trust it, so keep a
         # read-only copy whose checked entries cannot change later.
-        arr = _as_binary(np.array(self.a_prime), "target matrix")
+        arr = _as_binary(np.array(a_prime), "target matrix")
         arr.flags.writeable = False
-        object.__setattr__(self, "a_prime", arr)
+        _set(self, "a_prime", arr)
+        _set(self, "word_to_sub", word_to_sub)
 
 
 def _sub_span(sub: object) -> tuple[int, int]:

@@ -8,18 +8,14 @@ Output files are written atomically; stdout is used when --out is absent.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-import tempfile
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .knowledge import DEFAULT_TOP_K, KnowledgeBaseError, load_kb, retrieve_facts
 from .metric import ScoringInput, SynonymMap, check_labels, score_pair
-from .stats import correlate_metrics
 from .text import (
     DirectionTaxonomy,
     _labels,
@@ -51,6 +47,8 @@ def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> tuple
 
     The direction labels are the explicit ones, checked against the taxonomy,
     or else those parsed from the text's words here, so no Instruction is built.
+    Parsed labels are classes of the taxonomy by construction and are not
+    checked again.
     """
     if not isinstance(obj, dict):
         raise SchemaError(f"{where}: record must be a JSON object")
@@ -64,12 +62,15 @@ def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> tuple
     if tuples is not None and not isinstance(tuples, list):
         raise SchemaError(f"{where}: 'tuples' must be a list of string lists")
     directions = obj.get("directions")
-    if directions is None:
-        directions = _labels(_words(text), taxonomy)
-    elif not isinstance(directions, list) or not all(isinstance(lab, str) and lab for lab in directions):
+    if directions is not None and (
+        not isinstance(directions, list) or not all(isinstance(lab, str) and lab for lab in directions)
+    ):
         raise SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
     try:
-        check_labels(directions, taxonomy)
+        if directions is None:
+            directions = _labels(_words(text), taxonomy)
+        else:
+            check_labels(directions, taxonomy)
         return rid, ScoringInput(None, tuples, tuple(directions))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from None
@@ -115,6 +116,8 @@ def _load_json(path: Path) -> object:
 
 
 def _write_atomic(path: Path, text: str) -> None:
+    import tempfile
+
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent or Path("."))
     try:
@@ -379,6 +382,8 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
 
 
 def _read_score_table(path: Path) -> tuple[list[str], dict[str, list[float | None]], list[float | None]]:
+    import csv
+
     reader = csv.reader(io.StringIO(_read_text(path), newline=""))
     try:
         header = next(reader)
@@ -413,6 +418,8 @@ def _parse_cell(cell: str, path: Path, lineno: int) -> float | None:
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:
+    from .stats import correlate_metrics
+
     ids, columns, human = _read_score_table(Path(args.table))
 
     if args.instructions and args.min_directions is None:
@@ -456,6 +463,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_kb(args: argparse.Namespace) -> int:
+    from .knowledge import DEFAULT_TOP_K, KnowledgeBaseError, load_kb, retrieve_facts
+
+    k = DEFAULT_TOP_K if args.k is None else args.k
     try:
         kb = load_kb(Path(args.kb))
     except OSError as exc:
@@ -463,7 +473,7 @@ def _cmd_kb(args: argparse.Namespace) -> int:
     except KnowledgeBaseError as exc:
         raise SchemaError(str(exc)) from None
     try:
-        facts = retrieve_facts(kb, args.entity, args.k)
+        facts = retrieve_facts(kb, args.entity, k)
     except ValueError as exc:
         raise InputError(str(exc)) from None
     lines = [f"{f.head}\t{f.relation}\t{f.tail}\t{f.weight}" for f in facts]
@@ -527,7 +537,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_query = kb_sub.add_parser("query", parents=[output], help="print top-k facts for an entity as TSV")
     p_query.add_argument("--kb", required=True, help="tab-separated knowledge-base file")
     p_query.add_argument("--entity", required=True)
-    p_query.add_argument("--k", type=int, default=DEFAULT_TOP_K)
+    # Unset here, so the parser needs no naveval.knowledge; _cmd_kb takes the
+    # default from it.
+    p_query.add_argument("--k", type=int)
 
     return parser
 

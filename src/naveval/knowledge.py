@@ -3,69 +3,92 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable
+
+from ._record import Record, _set
 
 DEFAULT_CONFIDENCE_THRESHOLD = 0.5
 DEFAULT_TOP_K = 3
 
 
-@dataclass(frozen=True)
-class Detection:
+class Detection(Record):
     """One detected object label with its confidence at a trajectory step."""
 
-    label: str
-    confidence: float
-    step: int
+    __slots__ = _fields = ("label", "confidence", "step")
 
-    def __post_init__(self) -> None:
-        if not self.label:
+    def __init__(self, label: str, confidence: float, step: int) -> None:
+        if not label:
             raise ValueError("detection label must be nonempty")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"detection confidence must be in [0, 1], got {self.confidence}")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"detection confidence must be in [0, 1], got {confidence}")
+        _set(self, "label", label)
+        _set(self, "confidence", confidence)
+        _set(self, "step", step)
 
 
-@dataclass(frozen=True)
-class EntitySet:
+class EntitySet(Record):
     """Entities that survived confidence filtering at one step."""
 
-    step: int
-    entities: frozenset[str]
+    __slots__ = _fields = ("step", "entities")
+
+    def __init__(self, step: int, entities: frozenset[str]) -> None:
+        _set(self, "step", step)
+        _set(self, "entities", entities)
 
 
-@dataclass(frozen=True)
-class KnowledgeFact:
-    head: str
-    relation: str
-    tail: str
-    weight: float
+def _check_fact(head: str, relation: str, tail: str, weight: float) -> None:
+    if not (head and relation and tail):
+        raise ValueError("fact fields must be nonempty")
+    if not math.isfinite(weight):
+        raise ValueError(f"fact weight must be finite, got {weight}")
 
-    def __post_init__(self) -> None:
-        if not (self.head and self.relation and self.tail):
-            raise ValueError("fact fields must be nonempty")
-        if not math.isfinite(self.weight):
-            raise ValueError(f"fact weight must be finite, got {self.weight}")
+
+class KnowledgeFact(Record):
+    __slots__ = _fields = ("head", "relation", "tail", "weight")
+
+    def __init__(self, head: str, relation: str, tail: str, weight: float) -> None:
+        _check_fact(head, relation, tail, weight)
+        _set(self, "head", head)
+        _set(self, "relation", relation)
+        _set(self, "tail", tail)
+        _set(self, "weight", weight)
 
 
 class KnowledgeBaseError(ValueError):
     """Raised for unreadable or malformed knowledge-base files."""
 
 
+# A checked fact as the index holds it: (head, relation, tail, weight).
+_Row = tuple[str, str, str, float]
+
+
 class KnowledgeBase:
     """Immutable index from lowercase head entity to its facts, in file order."""
 
     def __init__(self, facts: Iterable[KnowledgeFact] = ()):
-        index: dict[str, list[KnowledgeFact]] = {}
+        self._index_rows((f.head, f.relation, f.tail, f.weight) for f in facts)
+
+    @classmethod
+    def _from_rows(cls, rows: Iterable[_Row]) -> KnowledgeBase:
+        kb = cls.__new__(cls)
+        kb._index_rows(rows)
+        return kb
+
+    def _index_rows(self, rows: Iterable[_Row]) -> None:
+        index: dict[str, list[_Row]] = {}
         count = 0
-        for fact in facts:
-            index.setdefault(fact.head.lower(), []).append(fact)
+        for row in rows:
+            index.setdefault(row[0].lower(), []).append(row)
             count += 1
-        self._index = {head: tuple(fs) for head, fs in index.items()}
+        self._index = index
         self._n_facts = count
 
+    def _rows(self, entity: str) -> list[_Row]:
+        return self._index.get(entity.lower(), [])
+
     def facts_for(self, entity: str) -> tuple[KnowledgeFact, ...]:
-        return self._index.get(entity.lower(), ())
+        return tuple(KnowledgeFact(*row) for row in self._rows(entity))
 
     @property
     def n_facts(self) -> int:
@@ -103,7 +126,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise KnowledgeBaseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
-    facts: list[KnowledgeFact] = []
+    rows: list[_Row] = []
     problems: list[str] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
@@ -113,19 +136,21 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         if len(parts) != 4:
             problems.append(f"line {lineno}: expected 4 tab-separated columns, got {len(parts)}")
             continue
-        head, relation, tail, weight_text = (p.strip() for p in parts)
+        head, relation, tail, weight_text = map(str.strip, parts)
         try:
             weight = float(weight_text)
         except ValueError:
             problems.append(f"line {lineno}: non-numeric weight {weight_text!r}")
             continue
         try:
-            facts.append(KnowledgeFact(head=head, relation=relation, tail=tail, weight=weight))
+            _check_fact(head, relation, tail, weight)
         except ValueError as exc:
             problems.append(f"line {lineno}: {exc}")
+            continue
+        rows.append((head, relation, tail, weight))
     if problems:
         raise KnowledgeBaseError(f"{path}: " + "; ".join(problems))
-    return KnowledgeBase(facts)
+    return KnowledgeBase._from_rows(rows)
 
 
 def retrieve_facts(kb: KnowledgeBase, entity: str, k: int = DEFAULT_TOP_K) -> list[KnowledgeFact]:
@@ -136,5 +161,5 @@ def retrieve_facts(kb: KnowledgeBase, entity: str, k: int = DEFAULT_TOP_K) -> li
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    ranked = sorted(kb.facts_for(entity), key=lambda f: (-f.weight, f.relation, f.tail))
-    return ranked[:k]
+    ranked = sorted(kb._rows(entity), key=lambda row: (-row[3], row[1], row[2]))
+    return [KnowledgeFact(*row) for row in ranked[:k]]

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from collections.abc import Iterable, Sequence
 from pathlib import Path
-from typing import Iterable, Sequence
 
+from ._record import Record, _set
 from .text import DirectionTaxonomy, Instruction, direction_labels
 
 # A semantic tuple holds 1-3 lowercase lemmas: (object,), (object, attribute),
@@ -101,8 +101,7 @@ def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(Record):
     """SPICE and SPICE-D scores for one candidate-reference comparison.
 
     For reports produced by spice_d_score, spice is the harmonic mean of
@@ -110,19 +109,51 @@ class ScoreReport:
     aggregated by mean over several references carry field-wise means instead.
     """
 
-    spice: float
-    spice_d: float
-    pr_s: float
-    re_s: float
-    pr_sd: float
-    re_sd: float
-    n_cand_tuples: int
-    n_ref_tuples: int
-    n_tuple_matches: int
-    n_cand_dirs: int
-    n_ref_dirs: int
-    n_dir_matches: int
-    direction_only: bool = False
+    __slots__ = _fields = (
+        "spice",
+        "spice_d",
+        "pr_s",
+        "re_s",
+        "pr_sd",
+        "re_sd",
+        "n_cand_tuples",
+        "n_ref_tuples",
+        "n_tuple_matches",
+        "n_cand_dirs",
+        "n_ref_dirs",
+        "n_dir_matches",
+        "direction_only",
+    )
+
+    def __init__(
+        self,
+        spice: float,
+        spice_d: float,
+        pr_s: float,
+        re_s: float,
+        pr_sd: float,
+        re_sd: float,
+        n_cand_tuples: int,
+        n_ref_tuples: int,
+        n_tuple_matches: int,
+        n_cand_dirs: int,
+        n_ref_dirs: int,
+        n_dir_matches: int,
+        direction_only: bool = False,
+    ) -> None:
+        _set(self, "spice", spice)
+        _set(self, "spice_d", spice_d)
+        _set(self, "pr_s", pr_s)
+        _set(self, "re_s", re_s)
+        _set(self, "pr_sd", pr_sd)
+        _set(self, "re_sd", re_sd)
+        _set(self, "n_cand_tuples", n_cand_tuples)
+        _set(self, "n_ref_tuples", n_ref_tuples)
+        _set(self, "n_tuple_matches", n_tuple_matches)
+        _set(self, "n_cand_dirs", n_cand_dirs)
+        _set(self, "n_ref_dirs", n_ref_dirs)
+        _set(self, "n_dir_matches", n_dir_matches)
+        _set(self, "direction_only", direction_only)
 
     def to_dict(self) -> dict:
         return {
@@ -185,6 +216,7 @@ def _spice_d(
     ref: frozenset[SemanticTuple],
     candidate_dirs: Sequence[str],
     reference_dirs: Sequence[str],
+    direction_only: bool = False,
 ) -> ScoreReport:
     # spice_d_score on tuple sets that are already normalized and canonical.
     inter = len(cand & ref)
@@ -208,11 +240,11 @@ def _spice_d(
         n_cand_dirs=len(candidate_dirs),
         n_ref_dirs=len(reference_dirs),
         n_dir_matches=matches,
+        direction_only=direction_only,
     )
 
 
-@dataclass(frozen=True)
-class ScoringInput:
+class ScoringInput(Record):
     """One side of a comparison: tokenized text, optional tuples, optional labels.
 
     tuples=None means the tuple annotation is absent (direction-only scoring);
@@ -222,15 +254,19 @@ class ScoringInput:
     instruction is unused and may be None.
     """
 
-    instruction: Instruction | None
-    tuples: frozenset[SemanticTuple] | None = None
-    directions: tuple[str, ...] | None = None
+    __slots__ = _fields = ("instruction", "tuples", "directions")
 
-    def __post_init__(self) -> None:
-        if self.instruction is None and self.directions is None:
+    def __init__(
+        self,
+        instruction: Instruction | None,
+        tuples: Iterable[Sequence[str]] | None = None,
+        directions: tuple[str, ...] | None = None,
+    ) -> None:
+        if instruction is None and directions is None:
             raise ValueError("an instruction is required when directions are not given")
-        if self.tuples is not None:
-            object.__setattr__(self, "tuples", normalize_tuples(self.tuples))
+        _set(self, "instruction", instruction)
+        _set(self, "tuples", None if tuples is None else normalize_tuples(tuples))
+        _set(self, "directions", directions)
 
 
 def check_labels(labels: Iterable[str], taxonomy: DirectionTaxonomy) -> None:
@@ -283,19 +319,25 @@ def score_pair(
     reports = []
     for ref in references:
         ref_tuples, ref_dirs = prepared(ref)
-        reports.append(_spice_d(cand_tuples, ref_tuples, cand_dirs, ref_dirs))
+        reports.append(_spice_d(cand_tuples, ref_tuples, cand_dirs, ref_dirs, direction_only))
 
     best = max(range(len(reports)), key=lambda i: (reports[i].spice_d, -i))
     chosen = reports[best]
-    if aggregation == "mean":
-        n = len(reports)
-        chosen = replace(
-            chosen,
-            spice=sum(r.spice for r in reports) / n,
-            spice_d=sum(r.spice_d for r in reports) / n,
-            pr_s=sum(r.pr_s for r in reports) / n,
-            re_s=sum(r.re_s for r in reports) / n,
-            pr_sd=sum(r.pr_sd for r in reports) / n,
-            re_sd=sum(r.re_sd for r in reports) / n,
-        )
-    return replace(chosen, direction_only=direction_only)
+    if aggregation == "max":
+        return chosen
+    n = len(reports)
+    return ScoreReport(
+        spice=sum(r.spice for r in reports) / n,
+        spice_d=sum(r.spice_d for r in reports) / n,
+        pr_s=sum(r.pr_s for r in reports) / n,
+        re_s=sum(r.re_s for r in reports) / n,
+        pr_sd=sum(r.pr_sd for r in reports) / n,
+        re_sd=sum(r.re_sd for r in reports) / n,
+        n_cand_tuples=chosen.n_cand_tuples,
+        n_ref_tuples=chosen.n_ref_tuples,
+        n_tuple_matches=chosen.n_tuple_matches,
+        n_cand_dirs=chosen.n_cand_dirs,
+        n_ref_dirs=chosen.n_ref_dirs,
+        n_dir_matches=chosen.n_dir_matches,
+        direction_only=direction_only,
+    )

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
+
+from ._record import Record, _set
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -32,20 +33,24 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     return sxy / math.sqrt(sxx * syy)
 
 
-@dataclass(frozen=True)
-class MetricCorrelation:
-    metric: str
-    pearson: float
-    n: int
+class MetricCorrelation(Record):
+    __slots__ = _fields = ("metric", "pearson", "n")
+
+    def __init__(self, metric: str, pearson: float, n: int) -> None:
+        _set(self, "metric", metric)
+        _set(self, "pearson", pearson)
+        _set(self, "n", n)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(Record):
     """Per-metric correlations sorted best-first, plus row-deletion bookkeeping."""
 
-    entries: tuple[MetricCorrelation, ...]
-    n_used: int
-    n_dropped: int
+    __slots__ = _fields = ("entries", "n_used", "n_dropped")
+
+    def __init__(self, entries: tuple[MetricCorrelation, ...], n_used: int, n_dropped: int) -> None:
+        _set(self, "entries", entries)
+        _set(self, "n_used", n_used)
+        _set(self, "n_dropped", n_dropped)
 
 
 def correlate_metrics(

@@ -5,10 +5,10 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass
-from importlib import resources
+from collections.abc import Iterable, Mapping
 from pathlib import Path
-from typing import Iterable, Mapping
+
+from ._record import Record, _set
 
 # A token is a maximal run of characters other than whitespace and .,;:!?"
 # Python's \s matches exactly the characters for which str.isspace() is true.
@@ -29,27 +29,27 @@ def data_dir() -> Path:
     override = os.environ.get("NAVEVAL_DATA_DIR")
     if override:
         return Path(override)
-    return Path(str(resources.files("naveval") / "data"))
+    return Path(__file__).parent / "data"
 
 
-@dataclass(frozen=True)
-class Instruction:
+class Instruction(Record):
     """A tokenized instruction plus per-token character spans into the raw text."""
 
-    raw: str
-    tokens: tuple[str, ...]
-    spans: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("raw", "tokens", "spans")
 
-    def __post_init__(self) -> None:
-        if len(self.tokens) != len(self.spans):
+    def __init__(self, raw: str, tokens: tuple[str, ...], spans: tuple[tuple[int, int], ...]) -> None:
+        if len(tokens) != len(spans):
             raise ValueError("tokens and spans must have equal length")
         prev_end = 0
-        for tok, (start, end) in zip(self.tokens, self.spans):
+        for tok, (start, end) in zip(tokens, spans):
             if not tok or _SPACE_RE.search(tok):
                 raise ValueError(f"invalid token {tok!r}: tokens must be nonempty and whitespace-free")
-            if not (0 <= start < end <= len(self.raw)) or start < prev_end:
+            if not (0 <= start < end <= len(raw)) or start < prev_end:
                 raise ValueError("token spans must be strictly increasing and within the raw text")
             prev_end = end
+        _set(self, "raw", raw)
+        _set(self, "tokens", tokens)
+        _set(self, "spans", spans)
 
     @classmethod
     def _trusted(
@@ -57,7 +57,9 @@ class Instruction:
     ) -> "Instruction":
         # For tokenize, whose output is valid by construction: skips the check.
         instruction = object.__new__(cls)
-        instruction.__dict__.update(raw=raw, tokens=tokens, spans=spans)
+        _set(instruction, "raw", raw)
+        _set(instruction, "tokens", tokens)
+        _set(instruction, "spans", spans)
         return instruction
 
     def __len__(self) -> int:
@@ -89,31 +91,34 @@ def _words(raw: str) -> tuple[str, ...]:
     return tuple(map(str.lower, _TOKEN_RE.findall(raw)))
 
 
-@dataclass(frozen=True)
-class DirectionPhrase:
+class DirectionPhrase(Record):
     """One matched direction phrase: its class label and the token span it covers."""
 
-    class_label: str
-    token_span: tuple[int, int]
+    __slots__ = _fields = ("class_label", "token_span")
+
+    def __init__(self, class_label: str, token_span: tuple[int, int]) -> None:
+        _set(self, "class_label", class_label)
+        _set(self, "token_span", token_span)
 
 
-@dataclass(frozen=True)
-class DirectionTaxonomy:
+class DirectionTaxonomy(Record):
     """Named direction classes, each with the phrase strings that signal it.
 
     Phrases are compared at the token level, so two spellings that tokenize
     identically may not live under different classes.
     """
 
-    name: str
-    classes: tuple[tuple[str, tuple[str, ...]], ...]
+    _fields = ("name", "classes")
+    __slots__ = _fields + ("_phrase_index", "_matcher", "_label_set")
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, classes: tuple[tuple[str, tuple[str, ...]], ...]) -> None:
+        _set(self, "name", name)
+        _set(self, "classes", classes)
+        if not name:
             raise ValueError("taxonomy name must be nonempty")
         index: dict[tuple[str, ...], str] = {}
         seen: set[str] = set()
-        for label, phrases in self.classes:
+        for label, phrases in classes:
             if not label:
                 raise ValueError("direction class labels must be nonempty")
             if label in seen:
@@ -133,9 +138,9 @@ class DirectionTaxonomy:
             matcher.setdefault(toks[0], []).append((toks, label))
         for options in matcher.values():
             options.sort(key=lambda option: (-len(option[0]), option[0]))
-        object.__setattr__(self, "_phrase_index", index)
-        object.__setattr__(self, "_matcher", matcher)
-        object.__setattr__(self, "_label_set", frozenset(seen))
+        _set(self, "_phrase_index", index)
+        _set(self, "_matcher", matcher)
+        _set(self, "_label_set", frozenset(seen))
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -237,12 +242,14 @@ def direction_labels(instruction: Instruction, taxonomy: DirectionTaxonomy) -> l
     return _labels(instruction.tokens, taxonomy)
 
 
-@dataclass(frozen=True)
-class SubInstruction:
+class SubInstruction(Record):
     """A contiguous token span forming one action chunk; index is its 1-based ordinal."""
 
-    token_span: tuple[int, int]
-    index: int
+    __slots__ = _fields = ("token_span", "index")
+
+    def __init__(self, token_span: tuple[int, int], index: int) -> None:
+        _set(self, "token_span", token_span)
+        _set(self, "index", index)
 
 
 def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:

@@ -40,6 +40,28 @@ def run_cli(capsys, *argv):
 
 
 class TestScore:
+    def test_labels_parsed_from_text_are_not_checked_at_load(self, capsys, monkeypatch, mini_corpus_dir):
+        import naveval.cli
+        import naveval.metric
+
+        checked = []
+        check_labels = naveval.metric.check_labels
+
+        def counting(labels, taxonomy):
+            checked.append(tuple(labels))
+            return check_labels(labels, taxonomy)
+
+        monkeypatch.setattr(naveval.metric, "check_labels", counting)
+        monkeypatch.setattr(naveval.cli, "check_labels", counting)
+        files = [mini_corpus_dir / "candidates.jsonl", mini_corpus_dir / "references.jsonl"]
+        code, _, _ = run_cli(capsys, "score", *map(str, files), "--quiet")
+        assert code == 0
+        records = [json.loads(line) for f in files for line in f.read_text(encoding="utf-8").splitlines()]
+        explicit = [tuple(r["directions"]) for r in records if "directions" in r]
+        # Explicit labels once at load; every side once more in score_pair.
+        assert explicit and len(checked) == len(explicit) + len(records)
+        assert checked[: len(explicit)] == explicit
+
     def test_self_scoring_is_perfect(self, capsys, mini_corpus_dir):
         cands = str(mini_corpus_dir / "candidates.jsonl")
         code, out, _ = run_cli(capsys, "score", cands, cands, "--quiet")
@@ -686,6 +708,130 @@ def test_numpy_loaded_only_for_align(tmp_path, kb_fixture_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+MODULES_SCRIPT = """
+import contextlib, io, sys
+from naveval.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in sys.argv[1:]:
+        assert main(argv.split("|") + ["--quiet"]) == 0, argv
+print(" ".join(sorted(sys.modules)))
+"""
+
+# Modules a subcommand must not load: other subcommands' modules, and stdlib
+# modules that only another path needs.
+NOT_FOR_SHORT_CALLS = {
+    "naveval.knowledge",
+    "naveval.stats",
+    "dataclasses",
+    "inspect",
+    "csv",
+    "tempfile",
+    "typing",
+    "importlib.resources",
+}
+
+
+@pytest.mark.parametrize(
+    "commands, absent",
+    [
+        (
+            [
+                "score|MINI/candidates.jsonl|MINI/references.jsonl",
+                "directions|--text|turn left",
+                "chunk|--text|turn left and stop",
+            ],
+            NOT_FOR_SHORT_CALLS,
+        ),
+        (["kb|query|--kb|KB|--entity|sink"], {"naveval.stats", "numpy"}),
+        (
+            ["correlate|TMP/table.csv|--min-directions|1|--instructions|TMP/texts.jsonl"],
+            {"naveval.knowledge", "numpy"},
+        ),
+    ],
+    ids=["score-directions-chunk", "kb-query", "correlate"],
+)
+def test_each_subcommand_imports_only_what_it_runs(tmp_path, mini_corpus_dir, kb_fixture_path, commands, absent):
+    import naveval
+
+    (tmp_path / "table.csv").write_text("id,spice_d,human\nq01,0.5,3\nq02,0.9,4\nq03,0.1,1\n")
+    write_jsonl(tmp_path / "texts.jsonl", [{"id": i, "text": "turn left and go right"} for i in ("q01", "q02", "q03")])
+    places = {"MINI": mini_corpus_dir, "KB": kb_fixture_path, "TMP": tmp_path}
+    for name, place in places.items():
+        commands = [c.replace(name, str(place)) for c in commands]
+    # -S keeps site-packages hooks, which may import modules of their own, out
+    # of the interpreter.
+    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", MODULES_SCRIPT, *commands],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "naveval.cli" in loaded
+    assert sorted(absent & loaded) == []
+
+
+def test_public_names_resolve_on_first_access():
+    import naveval
+
+    assert naveval.__all__ == [
+        "__version__",
+        "TargetMatrix",
+        "attention_coverage_loss",
+        "build_cost",
+        "contrastive_loss",
+        "dtw_align",
+        "expand_alignment",
+        "softmax_attention",
+        "target_from_word_map",
+        "total_loss",
+        "validate_alignment_matrix",
+        "Detection",
+        "EntitySet",
+        "KnowledgeBase",
+        "KnowledgeBaseError",
+        "KnowledgeFact",
+        "gather_entities",
+        "load_kb",
+        "retrieve_facts",
+        "ScoreReport",
+        "ScoringInput",
+        "SynonymMap",
+        "lcs_length",
+        "normalize_tuples",
+        "score_pair",
+        "spice_d_score",
+        "spice_score",
+        "CorrelationReport",
+        "MetricCorrelation",
+        "correlate_metrics",
+        "pearson",
+        "DirectionPhrase",
+        "DirectionTaxonomy",
+        "Instruction",
+        "SubInstruction",
+        "chunk_instruction",
+        "direction_labels",
+        "load_taxonomy",
+        "load_verb_lexicon",
+        "parse_directions",
+        "span_text",
+        "tokenize",
+    ]
+    for name in naveval.__all__[1:]:
+        value = getattr(naveval, name)
+        assert value.__module__.startswith("naveval."), name
+        assert getattr(sys.modules[value.__module__], name) is value
+    for module in ("align", "cli", "knowledge", "metric", "stats", "text"):
+        assert getattr(naveval, module) is sys.modules[f"naveval.{module}"]
+    with pytest.raises(AttributeError):
+        naveval.nothing
 
 
 class TestParser:

@@ -157,6 +157,38 @@ class TestLoadKb:
         with pytest.raises(KnowledgeBaseError, match="line 1: fact weight must be finite"):
             load_kb(path)
 
+    def test_every_kind_of_bad_row_in_one_message(self, tmp_path):
+        path = tmp_path / "kb.tsv"
+        rows = [
+            "# comment",
+            "sink\tUsedFor\twashing\t2.0",
+            "",
+            "sink\tAtLocation\tkitchen",
+            "stove\tUsedFor\tcooking\theavy",
+            "\tUsedFor\tcooking\t1.0",
+            "oven\tUsedFor\tbaking\tinf",
+            "   # indented comment",
+            "   ",
+            "lamp\tx\ty\t1\textra",
+            "fridge\t \tfood\tnan",
+            "door\tPartOf\thouse\tnan",
+            "cup\tUsedFor\tdrinking\t-inf",
+            "bed\tUsedFor\tsleep\t 1.5 ",
+        ]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(KnowledgeBaseError) as excinfo:
+            load_kb(path)
+        assert str(excinfo.value) == (
+            f"{path}: line 4: expected 4 tab-separated columns, got 3; "
+            "line 5: non-numeric weight 'heavy'; "
+            "line 6: fact fields must be nonempty; "
+            "line 7: fact weight must be finite, got inf; "
+            "line 10: expected 4 tab-separated columns, got 5; "
+            "line 11: fact fields must be nonempty; "
+            "line 12: fact weight must be finite, got nan; "
+            "line 13: fact weight must be finite, got -inf"
+        )
+
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_bytes(b"sofa\tAtLocation\t\xff\t1.0\n")
@@ -196,6 +228,32 @@ class TestRetrieveFacts:
         keys = [(f.relation, f.tail) for f in facts]
         assert keys == sorted(keys)
 
+    def test_large_seeded_kb_matches_reference_sort(self, tmp_path):
+        rng = random.Random(7)
+        # Few relations, tails and weights, so many facts tie on weight.
+        facts = [
+            (
+                f"E{rng.randrange(300)}",
+                f"rel{rng.randrange(12)}",
+                f"t{rng.randrange(40)}",
+                rng.choice([1.0, 2.5, rng.uniform(-5, 5)]),
+            )
+            for _ in range(30_000)
+        ]
+        path = tmp_path / "kb.tsv"
+        path.write_text("".join(f"{h}\t{r}\t{t}\t{w!r}\n" for h, r, t, w in facts), encoding="utf-8")
+        kb = load_kb(path)
+        assert kb.n_facts == 30_000
+        by_head = {}
+        for fact in facts:
+            by_head.setdefault(fact[0].lower(), []).append(fact)
+        for entity in [f"e{i}" for i in range(0, 300, 7)] + ["E5", "nothing"]:
+            for k in (1, 3, 10, 1000):
+                want = sorted(by_head.get(entity.lower(), []), key=lambda f: (-f[3], f[1], f[2]))[:k]
+                got = retrieve_facts(kb, entity, k)
+                assert got == [KnowledgeFact(head=h, relation=r, tail=t, weight=w) for h, r, t, w in want]
+                assert all(type(f) is KnowledgeFact for f in got)
+
     def test_weights_non_increasing(self, kb_fixture_path):
         kb = load_kb(kb_fixture_path)
         rng = random.Random(31)
@@ -205,6 +263,20 @@ class TestRetrieveFacts:
             k = rng.randrange(1, 6)
             weights = [f.weight for f in retrieve_facts(kb, head, k=k)]
             assert weights == sorted(weights, reverse=True)
+
+
+class TestKnowledgeBase:
+    def test_built_from_facts(self):
+        facts = [
+            KnowledgeFact("Sofa", "AtLocation", "den", 1.0),
+            KnowledgeFact("lamp", "AtLocation", "desk", 2.0),
+            KnowledgeFact("sofa", "UsedFor", "sitting", 3.0),
+        ]
+        kb = KnowledgeBase(facts)
+        assert (kb.n_facts, len(kb)) == (3, 2)
+        assert kb.facts_for("SOFA") == (facts[0], facts[2])
+        assert retrieve_facts(kb, "sofa", 1) == [facts[2]]
+        assert KnowledgeBase().n_facts == 0
 
 
 class TestKnowledgeFact:

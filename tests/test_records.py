@@ -1,0 +1,166 @@
+"""The value types: construction, equality, hash, repr and immutability.
+
+Each case is built with keyword arguments. Its repr is the text the
+dataclasses these types once were gave for the same values.
+"""
+
+import copy
+import pickle
+
+import pytest
+
+from naveval.align import TargetMatrix
+from naveval.knowledge import Detection, EntitySet, KnowledgeFact
+from naveval.metric import ScoreReport, ScoringInput
+from naveval.stats import CorrelationReport, MetricCorrelation
+from naveval.text import DirectionPhrase, DirectionTaxonomy, Instruction, SubInstruction
+
+REPORT = dict(
+    spice=0.5,
+    spice_d=0.25,
+    pr_s=1.0,
+    re_s=1 / 3,
+    pr_sd=0.0,
+    re_sd=0.125,
+    n_cand_tuples=1,
+    n_ref_tuples=3,
+    n_tuple_matches=1,
+    n_cand_dirs=0,
+    n_ref_dirs=2,
+    n_dir_matches=0,
+)
+
+# (class, keyword arguments, one field changed, repr, keyword arguments that must raise)
+CASES = [
+    (
+        Detection,
+        dict(label="sofa", confidence=0.9, step=2),
+        dict(step=3),
+        "Detection(label='sofa', confidence=0.9, step=2)",
+        dict(label="sofa", confidence=1.5, step=2),
+    ),
+    (
+        EntitySet,
+        dict(step=1, entities=frozenset({"sofa"})),
+        dict(entities=frozenset()),
+        "EntitySet(step=1, entities=frozenset({'sofa'}))",
+        None,
+    ),
+    (
+        KnowledgeFact,
+        dict(head="sink", relation="UsedFor", tail="washing", weight=2.5),
+        dict(weight=2.0),
+        "KnowledgeFact(head='sink', relation='UsedFor', tail='washing', weight=2.5)",
+        dict(head="sink", relation="UsedFor", tail="washing", weight=float("nan")),
+    ),
+    (
+        MetricCorrelation,
+        dict(metric="spice_d", pearson=0.5, n=3),
+        dict(n=4),
+        "MetricCorrelation(metric='spice_d', pearson=0.5, n=3)",
+        None,
+    ),
+    (
+        CorrelationReport,
+        dict(entries=(MetricCorrelation(metric="spice_d", pearson=0.5, n=3),), n_used=3, n_dropped=1),
+        dict(n_dropped=0),
+        "CorrelationReport(entries=(MetricCorrelation(metric='spice_d', pearson=0.5, n=3),), n_used=3, n_dropped=1)",
+        None,
+    ),
+    (
+        Instruction,
+        dict(raw="Turn left", tokens=("turn", "left"), spans=((0, 4), (5, 9))),
+        dict(raw="turn left"),
+        "Instruction(raw='Turn left', tokens=('turn', 'left'), spans=((0, 4), (5, 9)))",
+        dict(raw="Turn left", tokens=("turn", "left"), spans=((0, 4), (5, 10))),
+    ),
+    (
+        DirectionPhrase,
+        dict(class_label="left", token_span=(1, 2)),
+        dict(token_span=(0, 2)),
+        "DirectionPhrase(class_label='left', token_span=(1, 2))",
+        None,
+    ),
+    (
+        DirectionTaxonomy,
+        dict(name="t", classes=(("left", ("left", "turn left")),)),
+        dict(name="u"),
+        "DirectionTaxonomy(name='t', classes=(('left', ('left', 'turn left')),))",
+        dict(name="t", classes=(("left", ("left",)), ("right", ("left",)))),
+    ),
+    (
+        SubInstruction,
+        dict(token_span=(0, 2), index=1),
+        dict(index=2),
+        "SubInstruction(token_span=(0, 2), index=1)",
+        None,
+    ),
+    (
+        ScoreReport,
+        REPORT,
+        dict(direction_only=True),
+        "ScoreReport(spice=0.5, spice_d=0.25, pr_s=1.0, re_s=0.3333333333333333, pr_sd=0.0, "
+        "re_sd=0.125, n_cand_tuples=1, n_ref_tuples=3, n_tuple_matches=1, n_cand_dirs=0, "
+        "n_ref_dirs=2, n_dir_matches=0, direction_only=False)",
+        None,
+    ),
+    (
+        ScoringInput,
+        dict(instruction=None, tuples=[["Sofa"]], directions=("left",)),
+        dict(directions=("right",)),
+        "ScoringInput(instruction=None, tuples=frozenset({('sofa',)}), directions=('left',))",
+        dict(instruction=None, tuples=[["sofa"]]),
+    ),
+    (
+        TargetMatrix,
+        dict(a_prime=[[1]], word_to_sub=(0,)),
+        dict(word_to_sub=(1,)),
+        "TargetMatrix(a_prime=array([[1]]), word_to_sub=(0,))",
+        dict(a_prime=[[1, 2]], word_to_sub=(0,)),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, kwargs, changed, text, invalid", CASES, ids=[c[0].__name__ for c in CASES])
+def test_record_behaves_as_a_frozen_value(cls, kwargs, changed, text, invalid):
+    record = cls(**kwargs)
+    twin = cls(*kwargs.values())
+    other = cls(**{**kwargs, **changed})
+    assert repr(record) == text
+    assert record != other
+    assert record != tuple(kwargs.values())
+    assert record == twin
+    if cls is TargetMatrix:
+        # Hash covers the fields as a tuple does, and an array is unhashable.
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(twin)
+    assert copy.copy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+    for field in kwargs:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    with pytest.raises(AttributeError):
+        record.unknown = 1
+    assert repr(record) == text
+    if invalid is not None:
+        with pytest.raises(ValueError):
+            cls(**invalid)
+
+
+def test_defaults():
+    assert ScoreReport(**REPORT).direction_only is False
+    item = ScoringInput(Instruction("left", ("left",), ((0, 4),)))
+    assert item.tuples is None and item.directions is None
+
+
+def test_taxonomy_caches_stay_out_of_equality_and_repr():
+    classes = (("left", ("left", "turn left")), ("right", ("right",)))
+    a = DirectionTaxonomy("t", classes)
+    b = DirectionTaxonomy(name="t", classes=classes)
+    assert a == b and hash(a) == hash(b)
+    assert a.label_set == frozenset({"left", "right"})
+    assert "_matcher" not in repr(a) and "_label_set" not in repr(a)
