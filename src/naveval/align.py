@@ -46,19 +46,22 @@ def _matching_widths(a: object, a_name: str, b: object, b_name: str) -> tuple[np
 
 
 def _unit_rows(arr: np.ndarray, name: str) -> np.ndarray:
-    norms = np.linalg.norm(arr, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        raise ValueError(f"zero-norm vector at {name}[{zero[0]}]")
+    # The ufuncs np.linalg.norm(arr, axis=1) runs for real input, without its
+    # wrapper and its conj() copy, so the norms are the same bits.
+    norms = np.sqrt(np.add.reduce(arr * arr, axis=1))
+    if not norms.all():
+        raise ValueError(f"zero-norm vector at {name}[{np.flatnonzero(norms == 0.0)[0]}]")
     return arr / norms[:, None]
 
 
 def build_cost(sub_instructions: object, panoramas: object) -> np.ndarray:
     """Pairwise cosine-distance cost matrix, entries clipped to [0, 2]."""
     subs, panos = _matching_widths(sub_instructions, "sub_instructions", panoramas, "panoramas")
-    cost = 1.0 - _unit_rows(subs, "sub_instructions") @ _unit_rows(panos, "panoramas").T
-    np.clip(cost, 0.0, 2.0, out=cost)
-    return cost
+    cost = _unit_rows(subs, "sub_instructions") @ _unit_rows(panos, "panoramas").T
+    # In place, the ufuncs of `1.0 - cost` and np.clip. 1.0 - x is never -0.0,
+    # so an entry clipped at 0 is +0.0.
+    np.subtract(1.0, cost, out=cost)
+    return cost.clip(0.0, 2.0, out=cost)
 
 
 def dtw_align(cost: object) -> np.ndarray:
@@ -137,7 +140,8 @@ def validate_alignment_matrix(a: object) -> None:
     """
     arr = _as_binary(a, "alignment matrix")
     m, n = arr.shape
-    ones = {(int(i), int(j)) for i, j in zip(*np.nonzero(arr))}
+    rows, cols = np.nonzero(arr)
+    ones = set(zip(rows.tolist(), cols.tolist()))
     if (0, 0) not in ones or (m - 1, n - 1) not in ones:
         raise ValueError("alignment path must start at (0, 0) and end at the opposite corner")
     # A valid monotone path is forced: whenever the cell to the right (or below,
@@ -171,6 +175,17 @@ class TargetMatrix(Record):
         _set(self, "a_prime", arr)
         _set(self, "word_to_sub", word_to_sub)
 
+    @classmethod
+    def _trusted(cls, a_prime: np.ndarray, word_to_sub: tuple[int, ...]) -> "TargetMatrix":
+        # For target_from_word_map, whose rows come from an alignment matrix it
+        # has just validated, in a new array no caller holds: skips the copy
+        # and the 0/1 check.
+        a_prime.flags.writeable = False
+        target = object.__new__(cls)
+        _set(target, "a_prime", a_prime)
+        _set(target, "word_to_sub", word_to_sub)
+        return target
+
 
 def _sub_span(sub: object) -> tuple[int, int]:
     span = getattr(sub, "token_span", sub)
@@ -192,12 +207,12 @@ def expand_alignment(a: object, sub_instructions: Sequence[object], n_words: int
         start, end = _sub_span(sub)
         if not (0 <= start < end <= n_words):
             raise ValueError(f"sub-instruction span ({start}, {end}) out of range for {n_words} words")
-        for o in range(start, end):
-            if owner[o] != -1:
-                raise ValueError(f"word {o} is covered by more than one sub-instruction span")
-            owner[o] = k
-    uncovered = [o for o, k in enumerate(owner) if k == -1]
-    if uncovered:
+        if owner[start:end].count(-1) != end - start:
+            o = next(o for o in range(start, end) if owner[o] != -1)
+            raise ValueError(f"word {o} is covered by more than one sub-instruction span")
+        owner[start:end] = [k] * (end - start)
+    if -1 in owner:
+        uncovered = [o for o, k in enumerate(owner) if k == -1]
         raise ValueError(f"words not covered by any sub-instruction span: {uncovered}")
     return target_from_word_map(a, owner)
 
@@ -211,6 +226,21 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
     arr = np.asarray(a)
     validate_alignment_matrix(arr)
     m = arr.shape[0]
+    owner = list(word_to_sub)
+    # Plain ints in range pass at C level; anything else goes through the
+    # loop, which names the first bad entry.
+    if not (owner and set(map(type, owner)) == {int} and min(owner) >= 0 and max(owner) < m):
+        owner = _checked_word_map(owner, m)
+    if not owner:
+        raise ValueError("word_to_sub must be nonempty")
+    if owner != sorted(owner):
+        raise ValueError("word_to_sub must be non-decreasing")
+    if len(set(owner)) != m:
+        raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
+    return TargetMatrix._trusted(arr.take(owner, axis=0), tuple(owner))
+
+
+def _checked_word_map(word_to_sub: list[object], m: int) -> list[int]:
     owner: list[int] = []
     for o, k in enumerate(word_to_sub):
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
@@ -218,13 +248,7 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
         if not 0 <= k < m:
             raise ValueError(f"word_to_sub[{o}] = {k} out of range for {m} sub-instructions")
         owner.append(int(k))
-    if not owner:
-        raise ValueError("word_to_sub must be nonempty")
-    if owner != sorted(owner):
-        raise ValueError("word_to_sub must be non-decreasing")
-    if set(owner) != set(range(m)):
-        raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
-    return TargetMatrix(a_prime=arr[np.array(owner), :], word_to_sub=tuple(owner))
+    return owner
 
 
 def _as_target(a_prime: object) -> np.ndarray:
@@ -237,12 +261,13 @@ def _check_attention(beta: object, shape: tuple[int, int]) -> np.ndarray:
     b = np.asarray(beta, dtype=float)
     if b.shape != shape:
         raise ValueError(f"attention shape {b.shape} does not match target shape {shape}")
-    if not np.isfinite(b).all():
-        raise ValueError("attention entries must be finite")
-    if (b < 0.0).any() or (b > 1.0).any():
+    # min and max are NaN when any entry is, so this passes exactly the
+    # attention whose entries are all finite and in [0, 1].
+    if not (b.min() >= 0.0 and b.max() <= 1.0):
+        if not np.isfinite(b).all():
+            raise ValueError("attention entries must be finite")
         raise ValueError("attention entries must lie in [0, 1]")
-    sums = b.sum(axis=1)
-    if (np.abs(sums - 1.0) > ATTENTION_ROW_TOL).any():
+    if np.abs(b.sum(axis=1) - 1.0).max() > ATTENTION_ROW_TOL:
         raise ValueError("attention rows must sum to 1")
     return b
 
@@ -257,21 +282,27 @@ def attention_coverage_loss(beta: object, a_prime: object, eps: float = DEFAULT_
     sharp attention; it is exactly 0 for one-hot attention on a fully aligned
     single viewpoint.
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps!r}")
     target = _as_target(a_prime)
     b = _check_attention(beta, target.shape)
     aligned = (target * b).sum(axis=1)
     unaligned = ((1.0 - target) * (1.0 - b)).sum(axis=1)
-    per_word = np.log(np.maximum(aligned, eps)) + np.log(np.maximum(unaligned, eps))
-    return float(-per_word.mean())
+    per_word = np.log(np.maximum(aligned, eps, out=aligned), out=aligned)
+    per_word += np.log(np.maximum(unaligned, eps, out=unaligned), out=unaligned)
+    # sum / size is the float64 division numpy's mean does.
+    return -float(per_word.sum() / per_word.size)
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
     # Row-wise log(sum(exp(x))), shifted by the row maximum so that nothing
     # overflows and a row's largest entry never underflows.
     top = x.max(axis=1, keepdims=True)
-    return top + np.log(np.exp(x - top).sum(axis=1, keepdims=True))
+    shifted = x - top
+    total = np.exp(shifted, out=shifted).sum(axis=1, keepdims=True)
+    total = np.log(total, out=total)
+    total += top
+    return total
 
 
 def _logits(words: object, panoramas: object) -> np.ndarray:
@@ -294,17 +325,19 @@ def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float
     if target.shape != logits.shape:
         n_w, n_p = logits.shape
         raise ValueError(f"target shape {target.shape} does not match ({n_w} words, {n_p} panoramas)")
-    empty = np.flatnonzero(target.sum(axis=1) == 0)
-    if empty.size:
-        raise ValueError(f"target row {empty[0]} has no aligned viewpoint")
-    per_word = _logsumexp(np.where(target > 0, logits, -np.inf)) - _logsumexp(logits)
-    return float(-per_word.mean())
+    covered = target.any(axis=1)
+    if not covered.all():
+        raise ValueError(f"target row {np.flatnonzero(~covered)[0]} has no aligned viewpoint")
+    per_word = _logsumexp(np.where(target > 0, logits, -np.inf))
+    per_word -= _logsumexp(logits)
+    return -float(per_word.sum() / per_word.size)
 
 
 def softmax_attention(words: object, panoramas: object) -> np.ndarray:
     """Row-softmax of word-panorama dot products; rows sum to 1."""
     logits = _logits(words, panoramas)
-    return np.exp(logits - _logsumexp(logits))
+    logits -= _logsumexp(logits)
+    return np.exp(logits, out=logits)
 
 
 def total_loss(
@@ -315,9 +348,9 @@ def total_loss(
     lambda2: float = DEFAULT_LAMBDA2,
 ) -> float:
     """Weighted training objective: ce + lambda1 * l_att + lambda2 * l_nce."""
-    values = {"ce": ce, "l_att": l_att, "l_nce": l_nce, "lambda1": lambda1, "lambda2": lambda2}
-    for name, v in values.items():
-        if not np.isfinite(v):
+    values = (("ce", ce), ("l_att", l_att), ("l_nce", l_nce), ("lambda1", lambda1), ("lambda2", lambda2))
+    for name, v in values:
+        if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
     if lambda1 < 0.0 or lambda2 < 0.0:
         raise ValueError("loss weights must be nonnegative")

@@ -21,6 +21,7 @@ from .text import (
     _labels,
     _words,
     chunk_instruction,
+    data_dir,
     load_taxonomy,
     load_verb_lexicon,
     span_text,
@@ -370,6 +371,9 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
         chunks = chunk_instruction(instruction, verbs)
     except FileNotFoundError as exc:
         raise InputError(f"verb lexicon not found: {exc}") from None
+    except OSError as exc:
+        path = str(data_dir() / "verbs.txt")
+        raise InputError(f"verb lexicon {path!r} cannot be read: {exc}") from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
     lines = [span_text(instruction, c.token_span) for c in chunks]

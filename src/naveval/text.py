@@ -18,9 +18,6 @@ _SPACE_RE = re.compile(r"\s")
 # Tokens that open a new sub-instruction chunk.
 BOUNDARY_TOKENS = frozenset({"and", "then"})
 
-# Raw-text characters that mark a clause boundary before the next token.
-_CLAUSE_PUNCT = frozenset({",", "."})
-
 BUILTIN_TAXONOMIES = ("r2r", "urban")
 
 
@@ -78,7 +75,7 @@ def tokenize(raw: str) -> Instruction:
     """
     matches = list(_TOKEN_RE.finditer(raw))
     return Instruction._trusted(
-        raw, tuple(m.group().lower() for m in matches), tuple(m.span() for m in matches)
+        raw, tuple([m.group().lower() for m in matches]), tuple([m.span() for m in matches])
     )
 
 
@@ -274,25 +271,26 @@ def chunk_instruction(
     from the lexicon are merged into the chunk before them; the first chunk is
     always kept. The returned spans partition the full token range in order.
     """
-    if len(instruction.tokens) == 0:
+    tokens, spans, raw = instruction.tokens, instruction.spans, instruction.raw
+    if not tokens:
         raise ValueError("cannot chunk an instruction with no tokens")
     verb_set = frozenset(verbs) if verbs is not None else load_verb_lexicon()
 
     cuts = [0]
-    for i in range(1, len(instruction.tokens)):
-        gap = instruction.raw[instruction.spans[i - 1][1] : instruction.spans[i][0]]
-        if instruction.tokens[i] in BOUNDARY_TOKENS or any(ch in _CLAUSE_PUNCT for ch in gap):
+    for i in range(1, len(tokens)):
+        # A comma or period in the raw text between two tokens marks a clause boundary.
+        gap = raw[spans[i - 1][1] : spans[i][0]]
+        if tokens[i] in BOUNDARY_TOKENS or "," in gap or "." in gap:
             cuts.append(i)
-    cuts.append(len(instruction.tokens))
+    cuts.append(len(tokens))
 
-    spans = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]
-    merged = [spans[0]]
-    for start, end in spans[1:]:
-        if any(tok in verb_set for tok in instruction.tokens[start:end]):
-            merged.append((start, end))
-        else:
+    merged = [(0, cuts[1])]
+    for start, end in zip(cuts[1:], cuts[2:]):
+        if verb_set.isdisjoint(tokens[start:end]):
             merged[-1] = (merged[-1][0], end)
-    return [SubInstruction(token_span=span, index=i) for i, span in enumerate(merged, 1)]
+        else:
+            merged.append((start, end))
+    return [SubInstruction(span, i) for i, span in enumerate(merged, 1)]
 
 
 def span_text(instruction: Instruction, span: tuple[int, int]) -> str:

@@ -297,6 +297,11 @@ class TestAttentionCoverageLoss:
         with pytest.raises(ValueError, match="eps"):
             attention_coverage_loss([[1.0, 0.0]], [[1, 0]], eps=0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+    def test_eps_must_be_finite(self, eps):
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            attention_coverage_loss([[0.5, 0.5]], [[1, 0]], eps=eps)
+
     def test_attention_rows_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum to 1"):
             attention_coverage_loss([[0.7, 0.1]], [[1, 0]])
@@ -318,6 +323,16 @@ class TestAttentionCoverageLoss:
         np.testing.assert_array_equal(target.a_prime, [[1, 0]])
         with pytest.raises(ValueError, match="read-only"):
             target.a_prime[0, 1] = 2
+
+    def test_built_target_is_read_only_and_independent_of_its_source(self):
+        a = np.array([[1, 1, 0], [0, 0, 1]])
+        target = target_from_word_map(a, [0, 0, 1])
+        a[:] = 7
+        assert target.a_prime.dtype == np.dtype(int)
+        np.testing.assert_array_equal(target.a_prime, [[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+        assert not target.a_prime.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            target.a_prime[0, 0] = 0
 
     def test_accepts_target_matrix_wrapper(self):
         target = TargetMatrix(a_prime=np.array([[1, 0]]), word_to_sub=(0,))

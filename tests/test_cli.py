@@ -252,6 +252,16 @@ class TestAlign:
         assert abs(doc["l_nce"] - l_nce) < 1e-12
         assert abs(doc["total_loss"] - (0.25 + l_att + l_nce)) < 1e-12
 
+    @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
+    def test_eps_must_be_positive_and_finite(self, capsys, tmp_path, eps):
+        """The message names eps, not the l_att it would have spoiled."""
+        path = self.write_features(tmp_path, FEATURES)
+        code, out, err = run_cli(capsys, "align", path, "--eps", eps)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("naveval: error: eps must be positive and finite")
+        assert "l_att" not in err
+
     def test_loss_weights_scale_total(self, capsys, tmp_path):
         path = self.write_features(tmp_path, FEATURES)
         code, out, _ = run_cli(
@@ -262,7 +272,7 @@ class TestAlign:
         assert abs(doc["total_loss"] - 0.5 * doc["l_att"]) < 1e-12
 
     def test_each_matrix_checked_for_0_1_once(self, capsys, tmp_path, monkeypatch):
-        """One 0/1 check for the alignment matrix and one for the target, not one per loss."""
+        """One 0/1 check for the alignment matrix; the target takes its checked rows unchecked."""
         import naveval.align
 
         calls = []
@@ -276,7 +286,7 @@ class TestAlign:
         path = self.write_features(tmp_path, FEATURES)
         code, _, _ = run_cli(capsys, "align", path, "--quiet")
         assert code == 0
-        assert calls == ["alignment matrix", "target matrix"]
+        assert calls == ["alignment matrix"]
 
     def test_single_sub_instruction(self, capsys, tmp_path):
         doc = {
@@ -355,6 +365,28 @@ class TestDirectionsAndChunk:
     def test_chunk_empty_text(self, capsys):
         code, _, err = run_cli(capsys, "chunk", "--text", "   ")
         assert code == 1
+
+    def test_chunk_unreadable_verb_lexicon_is_input_error(self, tmp_path):
+        import naveval
+
+        lexicon = tmp_path / "verbs.txt"
+        lexicon.mkdir()
+        env = dict(
+            os.environ,
+            NAVEVAL_DATA_DIR=str(tmp_path),
+            PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "naveval", "chunk", "--text", "walk and stop"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"naveval: error: verb lexicon {str(lexicon)!r} cannot be read: ")
+        assert proc.stdout == ""
 
 
 class TestCorrelate:
