@@ -226,21 +226,6 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
     arr = np.asarray(a)
     validate_alignment_matrix(arr)
     m = arr.shape[0]
-    owner = list(word_to_sub)
-    # Plain ints in range pass at C level; anything else goes through the
-    # loop, which names the first bad entry.
-    if not (owner and set(map(type, owner)) == {int} and min(owner) >= 0 and max(owner) < m):
-        owner = _checked_word_map(owner, m)
-    if not owner:
-        raise ValueError("word_to_sub must be nonempty")
-    if owner != sorted(owner):
-        raise ValueError("word_to_sub must be non-decreasing")
-    if len(set(owner)) != m:
-        raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
-    return TargetMatrix._trusted(arr.take(owner, axis=0), tuple(owner))
-
-
-def _checked_word_map(word_to_sub: list[object], m: int) -> list[int]:
     owner: list[int] = []
     for o, k in enumerate(word_to_sub):
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
@@ -248,7 +233,13 @@ def _checked_word_map(word_to_sub: list[object], m: int) -> list[int]:
         if not 0 <= k < m:
             raise ValueError(f"word_to_sub[{o}] = {k} out of range for {m} sub-instructions")
         owner.append(int(k))
-    return owner
+    if not owner:
+        raise ValueError("word_to_sub must be nonempty")
+    if owner != sorted(owner):
+        raise ValueError("word_to_sub must be non-decreasing")
+    if len(set(owner)) != m:
+        raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
+    return TargetMatrix._trusted(arr.take(owner, axis=0), tuple(owner))
 
 
 def _as_target(a_prime: object) -> np.ndarray:

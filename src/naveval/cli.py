@@ -366,14 +366,14 @@ def _cmd_directions(args: argparse.Namespace) -> int:
 
 def _cmd_chunk(args: argparse.Namespace) -> int:
     instruction = tokenize(args.text)
+    path = data_dir() / "verbs.txt"
     try:
-        verbs = load_verb_lexicon()
+        verbs = load_verb_lexicon(path)
         chunks = chunk_instruction(instruction, verbs)
     except FileNotFoundError as exc:
         raise InputError(f"verb lexicon not found: {exc}") from None
     except OSError as exc:
-        path = str(data_dir() / "verbs.txt")
-        raise InputError(f"verb lexicon {path!r} cannot be read: {exc}") from None
+        raise InputError(f"verb lexicon {str(path)!r} cannot be read: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
     lines = [span_text(instruction, c.token_span) for c in chunks]

@@ -386,6 +386,7 @@ class TestDirectionsAndChunk:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"naveval: error: verb lexicon {str(lexicon)!r} cannot be read: ")
+        assert proc.stderr.count(str(lexicon)) == 1
         assert proc.stdout == ""
 
 
