@@ -15,7 +15,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .metric import ScoringInput, SynonymMap, check_labels, score_pair
+from .metric import ScoreReport, ScoringInput, SynonymMap, check_labels, score_pair
 from .text import (
     DirectionTaxonomy,
     _labels,
@@ -77,12 +77,16 @@ def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> tuple
         raise SchemaError(f"{where}: {exc}") from None
 
 
+def _not_utf8(path: Path, exc: UnicodeDecodeError) -> SchemaError:
+    return SchemaError(f"{path}: not valid UTF-8 (byte {exc.start})")
+
+
 def _read_text(path: Path) -> str:
     """A whole input file as text: unreadable is an input error, not UTF-8 a schema error."""
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+        raise _not_utf8(path, exc) from None
     except OSError as exc:
         raise InputError(str(exc)) from None
 
@@ -203,44 +207,48 @@ _RECORD_LAYOUT = """    {
     }"""
 
 
-def _score_report_text(doc: dict) -> str:
-    """json.dumps(doc, indent=2) + "\n" for a score report, byte for byte.
+def _score_report_text(
+    taxonomy: str, aggregation: str, rows: list[tuple[str, int, ScoreReport]], corpus: dict
+) -> str:
+    """The score report, byte for byte as json.dumps(doc, indent=2) + "\n" writes it.
 
-    With indent set, json.dumps runs its pure-Python encoder. This writes the
-    report's fixed layout and encodes the leaves as json does: strings with
-    its C encode_basestring_ascii, floats and ints with their __repr__.
+    rows holds each record's id, number of references and report. With indent
+    set, json.dumps runs its pure-Python encoder. This fills the report's
+    fixed layout from the reports' fields and encodes the leaves as json does:
+    strings with its C encode_basestring_ascii, floats and ints with their
+    __repr__.
     """
     records = ",\n".join(
         _RECORD_LAYOUT
         % (
-            encode_basestring_ascii(r["id"]),
-            r["n_references"],
-            r["spice"],
-            r["spice_d"],
-            r["pr_s"],
-            r["re_s"],
-            r["pr_sd"],
-            r["re_sd"],
-            r["counts"]["cand_tuples"],
-            r["counts"]["ref_tuples"],
-            r["counts"]["tuple_matches"],
-            r["counts"]["cand_dirs"],
-            r["counts"]["ref_dirs"],
-            r["counts"]["dir_matches"],
-            "true" if r["direction_only"] else "false",
+            encode_basestring_ascii(rid),
+            n_references,
+            r.spice,
+            r.spice_d,
+            r.pr_s,
+            r.re_s,
+            r.pr_sd,
+            r.re_sd,
+            r.n_cand_tuples,
+            r.n_ref_tuples,
+            r.n_tuple_matches,
+            r.n_cand_dirs,
+            r.n_ref_dirs,
+            r.n_dir_matches,
+            "true" if r.direction_only else "false",
         )
-        for r in doc["records"]
+        for rid, n_references, r in rows
     )
-    records = f"[\n{records}\n  ]" if doc["records"] else "[]"
+    records = f"[\n{records}\n  ]" if rows else "[]"
     # Encoded JSON strings hold no raw newline, so indenting every line of
     # the corpus block is the same as nesting it one level deeper.
-    corpus = json.dumps(doc["corpus"], indent=2).replace("\n", "\n  ")
+    corpus_text = json.dumps(corpus, indent=2).replace("\n", "\n  ")
     return (
         "{\n"
-        f'  "taxonomy": {encode_basestring_ascii(doc["taxonomy"])},\n'
-        f'  "aggregation": {encode_basestring_ascii(doc["aggregation"])},\n'
+        f'  "taxonomy": {encode_basestring_ascii(taxonomy)},\n'
+        f'  "aggregation": {encode_basestring_ascii(aggregation)},\n'
         f'  "records": {records},\n'
-        f'  "corpus": {corpus}\n'
+        f'  "corpus": {corpus_text}\n'
         "}\n"
     )
 
@@ -269,22 +277,16 @@ def _cmd_score(args: argparse.Namespace) -> int:
             report = score_pair(cand, refs, taxonomy, synonyms, aggregation=args.aggregation)
         except ValueError as exc:
             raise InputError(f"id {rid!r}: {exc}") from None
-        rows.append({"id": rid, "n_references": len(refs), **report.to_dict()})
+        rows.append((rid, len(refs), report))
 
     n = len(rows)
     corpus = {
-        "mean_spice": sum(r["spice"] for r in rows) / n,
-        "mean_spice_d": sum(r["spice_d"] for r in rows) / n,
+        "mean_spice": sum(r.spice for _, _, r in rows) / n,
+        "mean_spice_d": sum(r.spice_d for _, _, r in rows) / n,
         "n_records": n,
-        "n_direction_only": sum(1 for r in rows if r["direction_only"]),
+        "n_direction_only": sum(1 for _, _, r in rows if r.direction_only),
     }
-    doc = {
-        "taxonomy": taxonomy.name,
-        "aggregation": args.aggregation,
-        "records": rows,
-        "corpus": corpus,
-    }
-    _emit(_score_report_text(doc), args.out)
+    _emit(_score_report_text(taxonomy.name, args.aggregation, rows, corpus), args.out)
     _note(
         args,
         f"scored {n} records: mean SPICE {corpus['mean_spice']:.4f}, "
@@ -374,6 +376,8 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
         raise InputError(f"verb lexicon not found: {exc}") from None
     except OSError as exc:
         raise InputError(f"verb lexicon {str(path)!r} cannot be read: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
     lines = [span_text(instruction, c.token_span) for c in chunks]

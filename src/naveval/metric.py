@@ -64,14 +64,8 @@ class SynonymMap:
     def canonical(self, word: str) -> str:
         return self._mapping.get(word, word)
 
-    def canonical_tuple(self, t: SemanticTuple) -> SemanticTuple:
-        return tuple(self.canonical(e) for e in t)
-
     def canonical_set(self, tuples: frozenset[SemanticTuple]) -> frozenset[SemanticTuple]:
-        return frozenset(self.canonical_tuple(t) for t in tuples)
-
-    def __len__(self) -> int:
-        return len(self._mapping)
+        return frozenset(tuple(self.canonical(e) for e in t) for t in tuples)
 
 
 def _canonical(tuples: frozenset[SemanticTuple], synonyms: SynonymMap | None) -> frozenset[SemanticTuple]:
@@ -154,25 +148,6 @@ class ScoreReport(Record):
         _set(self, "n_ref_dirs", n_ref_dirs)
         _set(self, "n_dir_matches", n_dir_matches)
         _set(self, "direction_only", direction_only)
-
-    def to_dict(self) -> dict:
-        return {
-            "spice": self.spice,
-            "spice_d": self.spice_d,
-            "pr_s": self.pr_s,
-            "re_s": self.re_s,
-            "pr_sd": self.pr_sd,
-            "re_sd": self.re_sd,
-            "counts": {
-                "cand_tuples": self.n_cand_tuples,
-                "ref_tuples": self.n_ref_tuples,
-                "tuple_matches": self.n_tuple_matches,
-                "cand_dirs": self.n_cand_dirs,
-                "ref_dirs": self.n_ref_dirs,
-                "dir_matches": self.n_dir_matches,
-            },
-            "direction_only": self.direction_only,
-        }
 
 
 def spice_d_score(

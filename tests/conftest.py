@@ -20,3 +20,8 @@ def kb_fixture_path() -> Path:
 @pytest.fixture(scope="session")
 def golden_report_path() -> Path:
     return TESTS_DIR / "data" / "golden_score_report.json"
+
+
+@pytest.fixture(scope="session")
+def golden_mean_synonyms_report_path() -> Path:
+    return TESTS_DIR / "data" / "golden_score_report_mean_synonyms.json"

@@ -253,3 +253,16 @@ def test_criterion_9_end_to_end_scoring(tmp_path, capsys, mini_corpus_dir, golde
         assert main(["score", cands, cands, "--quiet"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["corpus"]["mean_spice_d"] == 1.0
+
+
+def test_criterion_9_mean_synonyms_report(tmp_path, capsys, mini_corpus_dir, golden_mean_synonyms_report_path):
+    # The mini corpus has ids with two and three references, so this golden
+    # pins the mean aggregation and synonym canonicalization as well.
+    with criterion(9, "mean-aggregated report with synonyms is byte-identical to its golden file"):
+        synonyms = str(mini_corpus_dir.parent / "synonyms" / "example.json")
+        out = tmp_path / "report.json"
+        argv = ["score", str(mini_corpus_dir / "candidates.jsonl"), str(mini_corpus_dir / "references.jsonl")]
+        argv += ["--aggregation", "mean", "--synonyms", synonyms, "--quiet", "--out", str(out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == golden_mean_synonyms_report_path.read_bytes()

@@ -389,6 +389,27 @@ class TestDirectionsAndChunk:
         assert proc.stderr.count(str(lexicon)) == 1
         assert proc.stdout == ""
 
+    def test_chunk_verb_lexicon_not_utf8_is_schema_error(self, tmp_path):
+        import naveval
+
+        lexicon = tmp_path / "verbs.txt"
+        lexicon.write_bytes(b"turn\n\xffgo\n")
+        env = dict(
+            os.environ,
+            NAVEVAL_DATA_DIR=str(tmp_path),
+            PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "naveval", "chunk", "--text", "turn left and go"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"naveval: error: {lexicon}: not valid UTF-8 (byte 5)\n"
+        assert proc.stdout == ""
+
 
 class TestCorrelate:
     def write_table(self, tmp_path, text):

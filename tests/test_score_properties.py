@@ -6,7 +6,7 @@ import json
 import pytest
 
 from naveval.cli import _score_report_text
-from naveval.metric import spice_d_score
+from naveval.metric import ScoreReport, spice_d_score
 from naveval.text import _labels, _words, direction_labels, load_taxonomy, tokenize
 
 pytest.importorskip("hypothesis")
@@ -83,35 +83,54 @@ floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
     [0.0, 1.0, 1 / 3, 1e-17, 5e-324]
 )
 counts = st.integers(min_value=0, max_value=10**6)
-COUNT_KEYS = ("cand_tuples", "ref_tuples", "tuple_matches", "cand_dirs", "ref_dirs", "dir_matches")
 
 
 @st.composite
-def records(draw):
-    record = {"id": draw(strings), "n_references": draw(counts)}
-    for key in ("spice", "spice_d", "pr_s", "re_s", "pr_sd", "re_sd"):
-        record[key] = draw(floats)
-    record["counts"] = {key: draw(counts) for key in COUNT_KEYS}
-    record["direction_only"] = draw(st.booleans())
-    return record
+def rows(draw):
+    scores = [draw(floats) for _ in range(6)]
+    tallies = [draw(counts) for _ in range(6)]
+    return draw(strings), draw(counts), ScoreReport(*scores, *tallies, draw(st.booleans()))
 
 
-@st.composite
-def report_docs(draw):
+def expected_record(rid, n_references, r):
+    # The record as the report format defines it, spelled out independently
+    # of the writer.
     return {
-        "taxonomy": draw(strings),
-        "aggregation": draw(st.sampled_from(["max", "mean"]) | strings),
-        "records": draw(st.lists(records(), max_size=4)),
-        "corpus": {
-            "mean_spice": draw(floats),
-            "mean_spice_d": draw(floats),
-            "n_records": draw(counts),
-            "n_direction_only": draw(counts),
+        "id": rid,
+        "n_references": n_references,
+        "spice": r.spice,
+        "spice_d": r.spice_d,
+        "pr_s": r.pr_s,
+        "re_s": r.re_s,
+        "pr_sd": r.pr_sd,
+        "re_sd": r.re_sd,
+        "counts": {
+            "cand_tuples": r.n_cand_tuples,
+            "ref_tuples": r.n_ref_tuples,
+            "tuple_matches": r.n_tuple_matches,
+            "cand_dirs": r.n_cand_dirs,
+            "ref_dirs": r.n_ref_dirs,
+            "dir_matches": r.n_dir_matches,
         },
+        "direction_only": r.direction_only,
     }
 
 
 @PROPERTY_SETTINGS
-@given(report_docs())
-def test_report_writer_matches_json_dumps(doc):
-    assert _score_report_text(doc) == json.dumps(doc, indent=2) + "\n"
+@given(
+    strings,
+    st.sampled_from(["max", "mean"]) | strings,
+    st.lists(rows(), max_size=4),
+    st.fixed_dictionaries(
+        {"mean_spice": floats, "mean_spice_d": floats, "n_records": counts, "n_direction_only": counts}
+    ),
+)
+def test_report_writer_matches_json_dumps(taxonomy, aggregation, report_rows, corpus):
+    doc = {
+        "taxonomy": taxonomy,
+        "aggregation": aggregation,
+        "records": [expected_record(*row) for row in report_rows],
+        "corpus": corpus,
+    }
+    text = _score_report_text(taxonomy, aggregation, report_rows, corpus)
+    assert text == json.dumps(doc, indent=2) + "\n"
