@@ -15,20 +15,17 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .metric import ScoreReport, ScoringInput, SynonymMap, check_labels, score_pair
-from .text import (
-    DirectionTaxonomy,
-    _labels,
-    _words,
-    chunk_instruction,
-    data_dir,
-    load_taxonomy,
-    load_verb_lexicon,
-    span_text,
-    tokenize,
-)
+# naveval.metric and naveval.text are imported by the code paths that use
+# them, so kb query and align load neither; typing is not loaded either.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .metric import ScoreReport, ScoringInput, SynonymMap
+    from .text import DirectionTaxonomy
 
 DEFAULT_TAXONOMY = "r2r"
+
+# Thread-count variables of OpenBLAS, OpenMP and MKL; see run().
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class CommandError(Exception):
@@ -41,40 +38,6 @@ class InputError(CommandError):
 
 class SchemaError(CommandError):
     exit_code = 2
-
-
-def _parse_record(obj: object, where: str, taxonomy: DirectionTaxonomy) -> tuple[str, ScoringInput]:
-    """One JSONL corpus row as its id and its scoring input, fully validated.
-
-    The direction labels are the explicit ones, checked against the taxonomy,
-    or else those parsed from the text's words here, so no Instruction is built.
-    Parsed labels are classes of the taxonomy by construction and are not
-    checked again.
-    """
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{where}: record must be a JSON object")
-    rid = obj.get("id")
-    text = obj.get("text")
-    if not isinstance(rid, str) or not rid:
-        raise SchemaError(f"{where}: 'id' must be a nonempty string")
-    if not isinstance(text, str) or not text.strip():
-        raise SchemaError(f"{where}: 'text' must be a nonempty string")
-    tuples = obj.get("tuples")
-    if tuples is not None and not isinstance(tuples, list):
-        raise SchemaError(f"{where}: 'tuples' must be a list of string lists")
-    directions = obj.get("directions")
-    if directions is not None and (
-        not isinstance(directions, list) or not all(isinstance(lab, str) and lab for lab in directions)
-    ):
-        raise SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
-    try:
-        if directions is None:
-            directions = _labels(_words(text), taxonomy)
-        else:
-            check_labels(directions, taxonomy)
-        return rid, ScoringInput(None, tuples, tuple(directions))
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _not_utf8(path: Path, exc: UnicodeDecodeError) -> SchemaError:
@@ -92,15 +55,49 @@ def _read_text(path: Path) -> str:
 
 
 def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[tuple[str, ScoringInput]]:
+    """Each JSONL corpus row as its id and its scoring input, fully validated.
+
+    The direction labels are the explicit ones, checked against the taxonomy,
+    or else those parsed from the text's words here, so no Instruction is built.
+    Parsed labels are classes of the taxonomy by construction and are not
+    checked again.
+    """
+    from .metric import ScoringInput, check_labels
+    from .text import _labels, _words
+
     records = []
     for lineno, line in enumerate(_read_text(path).splitlines(), 1):
         if not line.strip():
             continue
+        where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from None
-        records.append(_parse_record(obj, f"{path}:{lineno}", taxonomy))
+            raise SchemaError(f"{where}: invalid JSON: {exc.msg}") from None
+        if not isinstance(obj, dict):
+            raise SchemaError(f"{where}: record must be a JSON object")
+        rid = obj.get("id")
+        text = obj.get("text")
+        if not isinstance(rid, str) or not rid:
+            raise SchemaError(f"{where}: 'id' must be a nonempty string")
+        if not isinstance(text, str) or not text.strip():
+            raise SchemaError(f"{where}: 'text' must be a nonempty string")
+        tuples = obj.get("tuples")
+        if tuples is not None and not isinstance(tuples, list):
+            raise SchemaError(f"{where}: 'tuples' must be a list of string lists")
+        directions = obj.get("directions")
+        if directions is not None and (
+            not isinstance(directions, list) or not all(isinstance(lab, str) and lab for lab in directions)
+        ):
+            raise SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
+        try:
+            if directions is None:
+                directions = _labels(_words(text), taxonomy)
+            else:
+                check_labels(directions, taxonomy)
+            records.append((rid, ScoringInput(None, tuples, tuple(directions))))
+        except ValueError as exc:
+            raise SchemaError(f"{where}: {exc}") from None
     return records
 
 
@@ -142,6 +139,10 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _stdout_error(exc: OSError) -> InputError:
+    return InputError(f"cannot write to stdout: {exc.strerror or exc}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         try:
@@ -149,7 +150,10 @@ def _emit(text: str, out: str | None) -> None:
         except OSError as exc:
             raise InputError(f"cannot write {out!r}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:
+            raise _stdout_error(exc) from None
 
 
 def _emit_json(doc: object, out: str | None) -> None:
@@ -162,10 +166,14 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def _taxonomy_from_args(args: argparse.Namespace) -> DirectionTaxonomy:
+    from .text import _taxonomy_path, load_taxonomy
+
     try:
         return load_taxonomy(args.taxonomy)
     except OSError as exc:
         raise InputError(f"taxonomy {args.taxonomy!r} cannot be read: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(_taxonomy_path(args.taxonomy), exc) from None
     except ValueError as exc:
         raise SchemaError(f"taxonomy {args.taxonomy!r}: {exc}") from None
 
@@ -173,10 +181,14 @@ def _taxonomy_from_args(args: argparse.Namespace) -> DirectionTaxonomy:
 def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
     if not args.synonyms:
         return None
+    from .metric import SynonymMap
+
     try:
         return SynonymMap.load(args.synonyms)
     except OSError as exc:
         raise InputError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(Path(args.synonyms), exc) from None
     except ValueError as exc:
         raise SchemaError(f"{args.synonyms}: {exc}") from None
 
@@ -254,6 +266,8 @@ def _score_report_text(
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
+    from .metric import score_pair
+
     taxonomy = _taxonomy_from_args(args)
     records = _load_jsonl(Path(args.candidates), taxonomy)
     if not records:
@@ -360,6 +374,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
 
 def _cmd_directions(args: argparse.Namespace) -> int:
+    from .text import _labels, _words
+
     taxonomy = _taxonomy_from_args(args)
     labels = _labels(_words(args.text), taxonomy)
     _emit(" ".join(labels) + "\n", args.out)
@@ -367,6 +383,8 @@ def _cmd_directions(args: argparse.Namespace) -> int:
 
 
 def _cmd_chunk(args: argparse.Namespace) -> int:
+    from .text import chunk_instruction, data_dir, load_verb_lexicon, span_text, tokenize
+
     instruction = tokenize(args.text)
     path = data_dir() / "verbs.txt"
     try:
@@ -572,4 +590,28 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    raise SystemExit(main())
+    """The process entry point of `python -m naveval` and the naveval script.
+
+    OpenBLAS gets one thread unless one of _BLAS_THREAD_VARS is set: one
+    document never needs a second, and starting it costs a short call more
+    than it saves. After main() the output is flushed and the process ends
+    with os._exit, which skips interpreter teardown. An exception that escapes
+    main(), argparse's SystemExit among them, takes the normal exit path.
+    """
+    if not any(name in os.environ for name in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    code = main()
+    # A stream is None when the process was started with its descriptor closed.
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as exc:
+            # A nonzero code was reported already, and nothing but the rest of
+            # a write that failed in _emit can be left in stdout's buffer then.
+            if code == 0:
+                error = _stdout_error(exc)
+                print(f"naveval: error: {error}", file=sys.stderr)
+                code = error.exit_code
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

@@ -188,11 +188,15 @@ def load_taxonomy(source: str | Path) -> DirectionTaxonomy:
     when a file of that name exists in the working directory. A string that
     ends in .json or contains a path separator, and any Path, is read directly.
     """
-    path = Path(source)
-    if isinstance(source, str) and not _looks_like_path(source):
-        path = data_dir() / "taxonomies" / f"{source}.json"
-    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc = json.loads(_taxonomy_path(source).read_text(encoding="utf-8"))
     return DirectionTaxonomy.from_mapping(doc)
+
+
+def _taxonomy_path(source: str | Path) -> Path:
+    """The file load_taxonomy reads for source."""
+    if isinstance(source, str) and not _looks_like_path(source):
+        return data_dir() / "taxonomies" / f"{source}.json"
+    return Path(source)
 
 
 def _looks_like_path(s: str) -> bool:

@@ -1,6 +1,9 @@
+import errno
+import io
 import json
 import math
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -41,7 +44,6 @@ def run_cli(capsys, *argv):
 
 class TestScore:
     def test_labels_parsed_from_text_are_not_checked_at_load(self, capsys, monkeypatch, mini_corpus_dir):
-        import naveval.cli
         import naveval.metric
 
         checked = []
@@ -51,8 +53,8 @@ class TestScore:
             checked.append(tuple(labels))
             return check_labels(labels, taxonomy)
 
+        # The CLI binds check_labels from naveval.metric when it loads a file.
         monkeypatch.setattr(naveval.metric, "check_labels", counting)
-        monkeypatch.setattr(naveval.cli, "check_labels", counting)
         files = [mini_corpus_dir / "candidates.jsonl", mini_corpus_dir / "references.jsonl"]
         code, _, _ = run_cli(capsys, "score", *map(str, files), "--quiet")
         assert code == 0
@@ -61,6 +63,25 @@ class TestScore:
         # Explicit labels once at load; every side once more in score_pair.
         assert explicit and len(checked) == len(explicit) + len(records)
         assert checked[: len(explicit)] == explicit
+
+    @pytest.mark.parametrize(
+        "cand_text, ref_text, counts",
+        [
+            ("turn left at the sofa", "turn left, then turn right at the sofa", (1, 2)),
+            ("turn left, then turn right at the sofa", "turn left at the sofa", (2, 1)),
+        ],
+        ids=["1-2", "2-1"],
+    )
+    def test_direction_counts_keep_their_sides(self, capsys, tmp_path, cand_text, ref_text, counts):
+        """Both goldens have equal counts on the two sides, so they cannot pin which is which."""
+        cands, refs, report = tmp_path / "c.jsonl", tmp_path / "r.jsonl", tmp_path / "report.json"
+        write_jsonl(cands, [{"id": "q1", "text": cand_text}])
+        write_jsonl(refs, [{"id": "q1", "text": ref_text}])
+        code, _, _ = run_cli(capsys, "score", str(cands), str(refs), "--quiet", "--out", str(report))
+        assert code == 0
+        record = json.loads(report.read_text(encoding="utf-8"))["records"][0]
+        assert (record["counts"]["cand_dirs"], record["counts"]["ref_dirs"]) == counts
+        assert record["counts"]["dir_matches"] == 1
 
     def test_self_scoring_is_perfect(self, capsys, mini_corpus_dir):
         cands = str(mini_corpus_dir / "candidates.jsonl")
@@ -604,6 +625,24 @@ class TestUnreadableInputs:
         assert out == ""
         assert err.startswith("naveval: error: ") and str(named) in err
 
+    @pytest.mark.parametrize("case", ["taxonomy-path", "taxonomy-name", "synonyms"])
+    def test_option_file_not_utf8_is_schema_error(self, capsys, monkeypatch, tmp_path, mini_corpus_dir, case):
+        bad = tmp_path / "taxonomies" / "mine.json"
+        bad.parent.mkdir()
+        bad.write_bytes(b'{"left": ["turn \xff left"]}')
+        option = {
+            "taxonomy-path": ["--taxonomy", str(bad)],
+            "taxonomy-name": ["--taxonomy", "mine"],
+            "synonyms": ["--synonyms", str(bad)],
+        }[case]
+        if case == "taxonomy-name":
+            monkeypatch.setenv("NAVEVAL_DATA_DIR", str(tmp_path))
+        corpus = [str(mini_corpus_dir / "candidates.jsonl"), str(mini_corpus_dir / "references.jsonl")]
+        code, out, err = run_cli(capsys, "score", *corpus, *option)
+        assert code == 2
+        assert out == ""
+        assert err == f"naveval: error: {bad}: not valid UTF-8 (byte 16)\n"
+
 
 class TestKbQuery:
     def test_top_k_order(self, capsys, kb_fixture_path):
@@ -766,6 +805,7 @@ def test_numpy_loaded_only_for_align(tmp_path, kb_fixture_path):
 
 MODULES_SCRIPT = """
 import contextlib, io, sys
+sys.path.append(sys.argv.pop(1))  # numpy's directory, after the stdlib
 from naveval.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
@@ -799,27 +839,32 @@ NOT_FOR_SHORT_CALLS = {
             ],
             NOT_FOR_SHORT_CALLS,
         ),
-        (["kb|query|--kb|KB|--entity|sink"], {"naveval.stats", "numpy"}),
+        (["kb|query|--kb|KB|--entity|sink"], {"naveval.metric", "naveval.text", "naveval.stats", "numpy"}),
+        (
+            ["align|TMP/features.json"],
+            {"naveval.metric", "naveval.text", "naveval.knowledge", "naveval.stats", "csv"},
+        ),
         (
             ["correlate|TMP/table.csv|--min-directions|1|--instructions|TMP/texts.jsonl"],
             {"naveval.knowledge", "numpy"},
         ),
     ],
-    ids=["score-directions-chunk", "kb-query", "correlate"],
+    ids=["score-directions-chunk", "kb-query", "align", "correlate"],
 )
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, mini_corpus_dir, kb_fixture_path, commands, absent):
     import naveval
 
     (tmp_path / "table.csv").write_text("id,spice_d,human\nq01,0.5,3\nq02,0.9,4\nq03,0.1,1\n")
     write_jsonl(tmp_path / "texts.jsonl", [{"id": i, "text": "turn left and go right"} for i in ("q01", "q02", "q03")])
+    (tmp_path / "features.json").write_text(json.dumps(FEATURES), encoding="utf-8")
     places = {"MINI": mini_corpus_dir, "KB": kb_fixture_path, "TMP": tmp_path}
     for name, place in places.items():
         commands = [c.replace(name, str(place)) for c in commands]
     # -S keeps site-packages hooks, which may import modules of their own, out
-    # of the interpreter.
+    # of the interpreter; align finds numpy on a path appended by the script.
     env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", MODULES_SCRIPT, *commands],
+        [sys.executable, "-S", "-c", MODULES_SCRIPT, str(Path(np.__file__).resolve().parents[1]), *commands],
         capture_output=True,
         text=True,
         env=env,
@@ -829,6 +874,107 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, mini_corpus_dir, kb
     loaded = set(proc.stdout.split())
     assert "naveval.cli" in loaded
     assert sorted(absent & loaded) == []
+
+
+def _naveval_env(**changes):
+    """The environment of a naveval child process: this checkout first on the path."""
+    import naveval
+
+    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+# Runs cli.run() with a main() that prints OPENBLAS_NUM_THREADS and returns 3.
+# The atexit hook prints only if the interpreter is torn down.
+RUN_SCRIPT = """
+import atexit, os, sys
+import naveval.cli
+
+def main():
+    print(os.environ.get("OPENBLAS_NUM_THREADS"))
+    if sys.argv[1] == "raise":
+        raise SystemExit(4)
+    return 3
+
+atexit.register(print, "teardown")
+naveval.cli.main = main
+naveval.cli.run()
+"""
+
+BLAS_UNSET = dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"))
+
+
+@pytest.mark.parametrize(
+    "user, seen",
+    [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "4"}, "4"),
+        ({"OMP_NUM_THREADS": "2"}, "None"),
+        ({"MKL_NUM_THREADS": "2"}, "None"),
+    ],
+    ids=["unset", "openblas-set", "omp-set", "mkl-set"],
+)
+def test_run_defaults_to_one_blas_thread_and_keeps_the_users(user, seen):
+    env = _naveval_env(**{**BLAS_UNSET, **user})
+    proc = subprocess.run(
+        [sys.executable, "-c", RUN_SCRIPT, "return"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout.splitlines()[0] == seen
+
+
+@pytest.mark.parametrize("how, code, lines", [("return", 3, ["1"]), ("raise", 4, ["1", "teardown"])])
+def test_run_skips_teardown_unless_main_raises(how, code, lines):
+    # Without PYTHONUNBUFFERED, the output reaches the pipe only if run() flushes it.
+    env = _naveval_env(**BLAS_UNSET, PYTHONUNBUFFERED=None)
+    proc = subprocess.run([sys.executable, "-c", RUN_SCRIPT, how], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (code, lines, "")
+
+
+@pytest.mark.parametrize("case", ["emit", "final-flush"])
+def test_closed_stdout_is_a_clean_error(capsys, tmp_path, case):
+    if case == "emit":
+        # A report larger than stdout's buffer: the write in _emit fails.
+        cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+        rows = [{"id": f"q{i:02d}", "text": "turn left and go right"} for i in range(40)]
+        write_jsonl(cands, rows)
+        write_jsonl(refs, rows)
+        argv = ["score", str(cands), str(refs), "--quiet"]
+        assert len(run_cli(capsys, *argv)[1].encode()) > io.DEFAULT_BUFFER_SIZE
+    else:
+        # A small output stays in stdout's buffer until run() flushes it.
+        argv = ["directions", "--text", "turn left"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "naveval", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_naveval_env(PYTHONUNBUFFERED=None),
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == f"naveval: error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+@pytest.mark.parametrize("closed", [">&-", "2>&-"], ids=["stdout", "stderr"])
+def test_run_with_a_standard_stream_closed_at_start(tmp_path, closed):
+    out = tmp_path / "labels.txt"
+    argv = [sys.executable, "-m", "naveval", "directions", "--text", "turn left", "--out", str(out)]
+    proc = subprocess.run(
+        f"{shlex.join(argv)} {closed}", shell=True, capture_output=True, env=_naveval_env(), timeout=120
+    )
+    assert proc.returncode == 0, proc
+    assert out.read_text(encoding="utf-8") == "left\n"
 
 
 def test_public_names_resolve_on_first_access():
