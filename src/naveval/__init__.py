@@ -22,12 +22,9 @@ _HOMES = {
         "validate_alignment_matrix",
     ),
     "knowledge": (
-        "Detection",
-        "EntitySet",
         "KnowledgeBase",
         "KnowledgeBaseError",
         "KnowledgeFact",
-        "gather_entities",
         "load_kb",
         "retrieve_facts",
     ),

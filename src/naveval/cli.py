@@ -8,6 +8,7 @@ Output files are written atomically; stdout is used when --out is absent.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -149,6 +150,9 @@ def _emit(text: str, out: str | None) -> None:
             _write_atomic(Path(out), text)
         except OSError as exc:
             raise InputError(f"cannot write {out!r}: {exc.strerror or exc}") from None
+    elif sys.stdout is None:
+        # The process was started with stdout closed.
+        raise _stdout_error(OSError(errno.EBADF, os.strerror(errno.EBADF)))
     else:
         try:
             sys.stdout.write(text)
@@ -160,9 +164,23 @@ def _emit_json(doc: object, out: str | None) -> None:
     _emit(json.dumps(doc, indent=2) + "\n", out)
 
 
+def _to_stderr(message: str) -> None:
+    """Print one line to stderr, if it can be written.
+
+    A note or error message that cannot be written never changes the exit
+    code. sys.stderr is None when the process was started with it closed, and
+    print(file=None) would write to stdout instead.
+    """
+    if sys.stderr is not None:
+        try:
+            print(message, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def _note(args: argparse.Namespace, message: str) -> None:
     if not args.quiet:
-        print(message, file=sys.stderr)
+        _to_stderr(message)
 
 
 def _taxonomy_from_args(args: argparse.Namespace) -> DirectionTaxonomy:
@@ -585,7 +603,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _HANDLERS[args.command](args)
     except CommandError as exc:
-        print(f"naveval: error: {exc}", file=sys.stderr)
+        _to_stderr(f"naveval: error: {exc}")
         return exc.exit_code
 
 
@@ -610,8 +628,11 @@ def run() -> None:
             # a write that failed in _emit can be left in stdout's buffer then.
             if code == 0:
                 error = _stdout_error(exc)
-                print(f"naveval: error: {error}", file=sys.stderr)
+                _to_stderr(f"naveval: error: {error}")
                 code = error.exit_code
     if sys.stderr is not None:
-        sys.stderr.flush()
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
     os._exit(code)

@@ -1,40 +1,13 @@
-"""Detection filtering and top-K fact retrieval from a local knowledge base."""
+"""Top-K weighted fact retrieval from a local TSV knowledge base."""
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 from pathlib import Path
 
 from ._record import Record, _set
 
-DEFAULT_CONFIDENCE_THRESHOLD = 0.5
 DEFAULT_TOP_K = 3
-
-
-class Detection(Record):
-    """One detected object label with its confidence at a trajectory step."""
-
-    __slots__ = _fields = ("label", "confidence", "step")
-
-    def __init__(self, label: str, confidence: float, step: int) -> None:
-        if not label:
-            raise ValueError("detection label must be nonempty")
-        if not 0.0 <= confidence <= 1.0:
-            raise ValueError(f"detection confidence must be in [0, 1], got {confidence}")
-        _set(self, "label", label)
-        _set(self, "confidence", confidence)
-        _set(self, "step", step)
-
-
-class EntitySet(Record):
-    """Entities that survived confidence filtering at one step."""
-
-    __slots__ = _fields = ("step", "entities")
-
-    def __init__(self, step: int, entities: frozenset[str]) -> None:
-        _set(self, "step", step)
-        _set(self, "entities", entities)
 
 
 def _check_fact(head: str, relation: str, tail: str, weight: float) -> None:
@@ -66,54 +39,20 @@ _Row = tuple[str, str, str, float]
 class KnowledgeBase:
     """Immutable index from lowercase head entity to its facts, in file order."""
 
-    def __init__(self, facts: Iterable[KnowledgeFact] = ()):
-        self._index_rows((f.head, f.relation, f.tail, f.weight) for f in facts)
-
-    @classmethod
-    def _from_rows(cls, rows: Iterable[_Row]) -> KnowledgeBase:
-        kb = cls.__new__(cls)
-        kb._index_rows(rows)
-        return kb
-
-    def _index_rows(self, rows: Iterable[_Row]) -> None:
+    def __init__(self, rows: list[_Row]) -> None:
+        """Index the rows that load_kb has checked."""
         index: dict[str, list[_Row]] = {}
-        count = 0
         for row in rows:
             index.setdefault(row[0].lower(), []).append(row)
-            count += 1
         self._index = index
-        self._n_facts = count
+        self._n_facts = len(rows)
 
     def _rows(self, entity: str) -> list[_Row]:
         return self._index.get(entity.lower(), [])
 
-    def facts_for(self, entity: str) -> tuple[KnowledgeFact, ...]:
-        return tuple(KnowledgeFact(*row) for row in self._rows(entity))
-
     @property
     def n_facts(self) -> int:
         return self._n_facts
-
-    def __len__(self) -> int:
-        return len(self._index)
-
-
-def gather_entities(
-    detections: Iterable[Detection], threshold: float = DEFAULT_CONFIDENCE_THRESHOLD
-) -> list[EntitySet]:
-    """Group detections by step and keep labels with confidence strictly above threshold.
-
-    Every step present in the input appears in the output (possibly with an
-    empty entity set), in ascending step order.
-    """
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    by_step: dict[int, set[str]] = {}
-    for det in detections:
-        labels = by_step.setdefault(det.step, set())
-        if det.confidence > threshold:
-            labels.add(det.label)
-    return [EntitySet(step=step, entities=frozenset(by_step[step])) for step in sorted(by_step)]
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
@@ -150,7 +89,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         rows.append((head, relation, tail, weight))
     if problems:
         raise KnowledgeBaseError(f"{path}: " + "; ".join(problems))
-    return KnowledgeBase._from_rows(rows)
+    return KnowledgeBase(rows)
 
 
 def retrieve_facts(kb: KnowledgeBase, entity: str, k: int = DEFAULT_TOP_K) -> list[KnowledgeFact]:

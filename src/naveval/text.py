@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable
 from pathlib import Path
 
 from ._record import Record, _set
@@ -106,7 +106,7 @@ class DirectionTaxonomy(Record):
     """
 
     _fields = ("name", "classes")
-    __slots__ = _fields + ("_phrase_index", "_matcher", "_label_set")
+    __slots__ = _fields + ("_matcher", "_label_set")
 
     def __init__(self, name: str, classes: tuple[tuple[str, tuple[str, ...]], ...]) -> None:
         _set(self, "name", name)
@@ -135,22 +135,12 @@ class DirectionTaxonomy(Record):
             matcher.setdefault(toks[0], []).append((toks, label))
         for options in matcher.values():
             options.sort(key=lambda option: (-len(option[0]), option[0]))
-        _set(self, "_phrase_index", index)
         _set(self, "_matcher", matcher)
         _set(self, "_label_set", frozenset(seen))
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(label for label, _ in self.classes)
-
-    @property
     def label_set(self) -> frozenset[str]:
         return self._label_set  # type: ignore[attr-defined]
-
-    @property
-    def phrase_index(self) -> Mapping[tuple[str, ...], str]:
-        """Mapping from tokenized phrase to its class label."""
-        return self._phrase_index  # type: ignore[attr-defined]
 
     @classmethod
     def from_mapping(cls, obj: object) -> "DirectionTaxonomy":
@@ -280,7 +270,7 @@ def chunk_instruction(
         raise ValueError("cannot chunk an instruction with no tokens")
     verb_set = frozenset(verbs) if verbs is not None else load_verb_lexicon()
 
-    cuts = [0]
+    cuts = []  # where each chunk after the first opens, then the end
     for i in range(1, len(tokens)):
         # A comma or period in the raw text between two tokens marks a clause boundary.
         gap = raw[spans[i - 1][1] : spans[i][0]]
@@ -288,8 +278,8 @@ def chunk_instruction(
             cuts.append(i)
     cuts.append(len(tokens))
 
-    merged = [(0, cuts[1])]
-    for start, end in zip(cuts[1:], cuts[2:]):
+    merged = [(0, cuts[0])]
+    for start, end in zip(cuts, cuts[1:]):
         if verb_set.isdisjoint(tokens[start:end]):
             merged[-1] = (merged[-1][0], end)
         else:

@@ -966,15 +966,50 @@ def test_closed_stdout_is_a_clean_error(capsys, tmp_path, case):
     assert proc.stderr == f"naveval: error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
 
 
+def _run_shell(argv, redirects, **kwargs):
+    """python -m naveval argv in a shell that applies the redirections.
+
+    The standard streams are buffered, as by default: a write that failed
+    can then stay in a buffer and fail again when run() flushes it.
+    """
+    command = f"{shlex.join([sys.executable, '-m', 'naveval', *argv])} {redirects}"
+    return subprocess.run(command, shell=True, env=_naveval_env(PYTHONUNBUFFERED=None), timeout=120, **kwargs)
+
+
 @pytest.mark.parametrize("closed", [">&-", "2>&-"], ids=["stdout", "stderr"])
 def test_run_with_a_standard_stream_closed_at_start(tmp_path, closed):
     out = tmp_path / "labels.txt"
-    argv = [sys.executable, "-m", "naveval", "directions", "--text", "turn left", "--out", str(out)]
-    proc = subprocess.run(
-        f"{shlex.join(argv)} {closed}", shell=True, capture_output=True, env=_naveval_env(), timeout=120
-    )
+    proc = _run_shell(["directions", "--text", "turn left", "--out", str(out)], closed, capture_output=True)
     assert proc.returncode == 0, proc
     assert out.read_text(encoding="utf-8") == "left\n"
+
+
+# stderr closed at start (sys.stderr is None), or open with every write failing.
+UNWRITABLE_STDERR = pytest.mark.parametrize("stderr", ["2>&-", "2>/dev/full"], ids=["closed", "full"])
+
+
+@UNWRITABLE_STDERR
+def test_unwritable_stderr_keeps_a_successful_score_at_exit_0(tmp_path, mini_corpus_dir, golden_report_path, stderr):
+    # Without --quiet, score writes a note to stderr after the report.
+    out = tmp_path / "report.json"
+    argv = ["score", str(mini_corpus_dir / "candidates.jsonl"), str(mini_corpus_dir / "references.jsonl")]
+    proc = _run_shell(argv, f"{stderr} > {shlex.quote(str(out))}")
+    assert proc.returncode == 0
+    assert out.read_bytes() == golden_report_path.read_bytes()
+
+
+@UNWRITABLE_STDERR
+def test_unwritable_stderr_keeps_the_schema_error_exit_code(tmp_path, mini_corpus_dir, stderr):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"id": 5}\n', encoding="utf-8")
+    proc = _run_shell(["score", str(bad), str(mini_corpus_dir / "references.jsonl")], stderr, capture_output=True)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+def test_stdout_closed_at_start_is_a_clean_error():
+    proc = _run_shell(["directions", "--text", "turn left"], ">&-", capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == f"naveval: error: cannot write to stdout: {os.strerror(errno.EBADF)}\n"
 
 
 def test_public_names_resolve_on_first_access():
@@ -992,12 +1027,9 @@ def test_public_names_resolve_on_first_access():
         "target_from_word_map",
         "total_loss",
         "validate_alignment_matrix",
-        "Detection",
-        "EntitySet",
         "KnowledgeBase",
         "KnowledgeBaseError",
         "KnowledgeFact",
-        "gather_entities",
         "load_kb",
         "retrieve_facts",
         "ScoreReport",

@@ -3,97 +3,12 @@ import random
 import pytest
 
 from naveval.knowledge import (
-    Detection,
     KnowledgeBase,
     KnowledgeBaseError,
     KnowledgeFact,
-    gather_entities,
     load_kb,
     retrieve_facts,
 )
-
-
-class TestDetection:
-    def test_valid(self):
-        d = Detection(label="sofa", confidence=0.9, step=2)
-        assert d.label == "sofa"
-
-    def test_confidence_bounds(self):
-        Detection(label="sofa", confidence=0.0, step=0)
-        Detection(label="sofa", confidence=1.0, step=0)
-        with pytest.raises(ValueError):
-            Detection(label="sofa", confidence=1.2, step=0)
-        with pytest.raises(ValueError):
-            Detection(label="sofa", confidence=-0.1, step=0)
-
-    def test_empty_label_rejected(self):
-        with pytest.raises(ValueError):
-            Detection(label="", confidence=0.5, step=0)
-
-
-class TestGatherEntities:
-    def test_strictly_above_threshold(self):
-        """A detection at exactly the threshold is excluded."""
-        dets = [
-            Detection("sofa", 0.9, step=0),
-            Detection("lamp", 0.5, step=0),
-            Detection("door", 0.51, step=0),
-        ]
-        (step,) = gather_entities(dets)
-        assert step.step == 0
-        assert step.entities == frozenset({"door", "sofa"})
-
-    def test_steps_without_survivors_still_listed(self):
-        dets = [Detection("sofa", 0.9, step=0), Detection("lamp", 0.1, step=1)]
-        steps = gather_entities(dets)
-        assert [s.step for s in steps] == [0, 1]
-        assert steps[1].entities == frozenset()
-
-    def test_steps_sorted_ascending(self):
-        dets = [Detection("a", 0.9, step=5), Detection("b", 0.9, step=2)]
-        steps = gather_entities(dets)
-        assert [s.step for s in steps] == [2, 5]
-
-    def test_duplicates_collapse(self):
-        dets = [Detection("sofa", 0.8, step=0), Detection("sofa", 0.95, step=0)]
-        (step,) = gather_entities(dets)
-        assert step.entities == frozenset({"sofa"})
-
-    def test_input_order_independent(self):
-        rng = random.Random(11)
-        dets = [
-            Detection(label, conf, step=s)
-            for s in range(3)
-            for label, conf in [("sofa", 0.9), ("lamp", 0.4), ("door", 0.7)]
-        ]
-        base = gather_entities(dets)
-        for _ in range(20):
-            shuffled = dets[:]
-            rng.shuffle(shuffled)
-            assert gather_entities(shuffled) == base
-
-    def test_raising_threshold_never_adds_entities(self):
-        rng = random.Random(23)
-        dets = [
-            Detection(f"obj{i}", rng.random(), step=rng.randrange(4))
-            for i in range(50)
-        ]
-        prev = None
-        for threshold in (0.1, 0.3, 0.5, 0.7, 0.9):
-            steps = gather_entities(dets, threshold=threshold)
-            kept = {(s.step, e) for s in steps for e in s.entities}
-            if prev is not None:
-                assert kept <= prev
-            prev = kept
-
-    def test_threshold_bounds(self):
-        with pytest.raises(ValueError):
-            gather_entities([], threshold=1.5)
-        with pytest.raises(ValueError):
-            gather_entities([], threshold=-0.2)
-
-    def test_empty_input(self):
-        assert gather_entities([]) == []
 
 
 class TestLoadKb:
@@ -101,21 +16,22 @@ class TestLoadKb:
         kb = load_kb(kb_fixture_path)
         assert isinstance(kb, KnowledgeBase)
         assert kb.n_facts == 10
-        assert len(kb) == 4  # distinct heads
-        assert len(kb.facts_for("microwave")) == 4
+        counts = {head: len(retrieve_facts(kb, head, k=10)) for head in ("microwave", "sink", "fridge", "bed")}
+        assert counts == {"microwave": 4, "sink": 3, "fridge": 2, "bed": 1}
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("# header\n\nsofa\tAtLocation\tliving room\t2.5\n")
         kb = load_kb(path)
-        assert len(kb) == 1
+        assert kb.n_facts == 1
+        assert retrieve_facts(kb, "sofa") == [KnowledgeFact("sofa", "AtLocation", "living room", 2.5)]
 
     def test_head_lookup_case_insensitive(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("Sofa\tAtLocation\tliving room\t2.5\n")
         kb = load_kb(path)
-        assert len(kb.facts_for("SOFA")) == 1
-        assert len(kb.facts_for("sofa")) == 1
+        assert len(retrieve_facts(kb, "SOFA")) == 1
+        assert len(retrieve_facts(kb, "sofa")) == 1
 
     def test_wrong_column_count_reports_line(self, tmp_path):
         path = tmp_path / "kb.tsv"
@@ -266,17 +182,29 @@ class TestRetrieveFacts:
 
 
 class TestKnowledgeBase:
-    def test_built_from_facts(self):
-        facts = [
-            KnowledgeFact("Sofa", "AtLocation", "den", 1.0),
-            KnowledgeFact("lamp", "AtLocation", "desk", 2.0),
+    def test_built_from_facts(self, tmp_path):
+        """Heads are indexed case-insensitively, each with its facts in file order."""
+        path = tmp_path / "kb.tsv"
+        path.write_text(
+            "Sofa\tAtLocation\tden\t1.0\n"
+            "lamp\tAtLocation\tdesk\t2.0\n"
+            "SOFA\tAtLocation\tden\t1.0\n"
+            "sofa\tUsedFor\tsitting\t3.0\n",
+            encoding="utf-8",
+        )
+        kb = load_kb(path)
+        assert isinstance(kb, KnowledgeBase) and kb.n_facts == 4
+        # The two den facts tie on the whole ranking key, so the stable sort
+        # shows the order the index holds them in: file order.
+        assert retrieve_facts(kb, "sOfA") == [
             KnowledgeFact("sofa", "UsedFor", "sitting", 3.0),
+            KnowledgeFact("Sofa", "AtLocation", "den", 1.0),
+            KnowledgeFact("SOFA", "AtLocation", "den", 1.0),
         ]
-        kb = KnowledgeBase(facts)
-        assert (kb.n_facts, len(kb)) == (3, 2)
-        assert kb.facts_for("SOFA") == (facts[0], facts[2])
-        assert retrieve_facts(kb, "sofa", 1) == [facts[2]]
-        assert KnowledgeBase().n_facts == 0
+        assert [f.head for f in retrieve_facts(kb, "sofa", 1)] == ["sofa"]
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("# no facts\n", encoding="utf-8")
+        assert load_kb(empty).n_facts == 0
 
 
 class TestKnowledgeFact:

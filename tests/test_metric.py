@@ -77,9 +77,11 @@ class TestSynonymMap:
         p.write_text('[["sofa", "couch"]]')
         assert SynonymMap.load(p).canonical("couch") == "sofa"
         bad = tmp_path / "bad.json"
-        bad.write_text('{"sofa": "couch"}')
-        with pytest.raises(ValueError):
-            SynonymMap.load(bad)
+        # Not a list of lists, a JSON number, a non-string member, an empty group.
+        for doc in ('{"sofa": "couch"}', "5", '[["sofa", 1]]', "[[]]"):
+            bad.write_text(doc)
+            with pytest.raises(ValueError):
+                SynonymMap.load(bad)
 
 
 def tuple_matches(candidate, reference, synonyms=None):

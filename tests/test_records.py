@@ -10,7 +10,7 @@ import pickle
 import pytest
 
 from naveval.align import TargetMatrix
-from naveval.knowledge import Detection, EntitySet, KnowledgeFact
+from naveval.knowledge import KnowledgeFact
 from naveval.metric import ScoreReport, ScoringInput
 from naveval.stats import CorrelationReport, MetricCorrelation
 from naveval.text import DirectionPhrase, DirectionTaxonomy, Instruction, SubInstruction
@@ -32,20 +32,6 @@ REPORT = dict(
 
 # (class, keyword arguments, one field changed, repr, keyword arguments that must raise)
 CASES = [
-    (
-        Detection,
-        dict(label="sofa", confidence=0.9, step=2),
-        dict(step=3),
-        "Detection(label='sofa', confidence=0.9, step=2)",
-        dict(label="sofa", confidence=1.5, step=2),
-    ),
-    (
-        EntitySet,
-        dict(step=1, entities=frozenset({"sofa"})),
-        dict(entities=frozenset()),
-        "EntitySet(step=1, entities=frozenset({'sofa'}))",
-        None,
-    ),
     (
         KnowledgeFact,
         dict(head="sink", relation="UsedFor", tail="washing", weight=2.5),

@@ -16,6 +16,11 @@ from hypothesis import strategies as st
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 
 TAXONOMIES = {name: load_taxonomy(name) for name in ("r2r", "urban")}
+# Each taxonomy's phrases as token tuples, mapped to their class labels.
+PHRASE_LABELS = {
+    name: {tokenize(phrase).tokens: label for label, phrases in tax.classes for phrase in phrases}
+    for name, tax in TAXONOMIES.items()
+}
 
 
 @PROPERTY_SETTINGS
@@ -34,8 +39,8 @@ def test_tokenize_spans_point_back_into_raw(raw):
 def text_with_one_phrase(draw):
     name = draw(st.sampled_from(sorted(TAXONOMIES)))
     taxonomy = TAXONOMIES[name]
-    phrase, label = draw(st.sampled_from(sorted(taxonomy.phrase_index.items())))
-    phrase_tokens = {tok for p in taxonomy.phrase_index for tok in p}
+    phrase, label = draw(st.sampled_from(sorted(PHRASE_LABELS[name].items())))
+    phrase_tokens = {tok for p in PHRASE_LABELS[name] for tok in p}
     before, after = draw(st.text()), draw(st.text())
     # The surrounding text holds no token of any phrase, so it can neither
     # match by itself nor extend the inserted phrase.

@@ -40,13 +40,19 @@ def loop_tokenize(raw):
     return tuple(tokens), tuple(spans)
 
 
+def phrase_labels(taxonomy):
+    """Reference phrase map: each phrase's tokens to its class label."""
+    return {tokenize(phrase).tokens: label for label, phrases in taxonomy.classes for phrase in phrases}
+
+
 def loop_parse_directions(tokens, taxonomy):
     """Reference scan: the greedy loop that tries every token position."""
+    index = phrase_labels(taxonomy)
     out = []
     i = 0
     while i < len(tokens):
-        for length in sorted({len(p) for p in taxonomy.phrase_index}, reverse=True):
-            label = taxonomy.phrase_index.get(tokens[i : i + length])
+        for length in sorted({len(p) for p in index}, reverse=True):
+            label = index.get(tokens[i : i + length])
             if label is not None and i + length <= len(tokens):
                 out.append((label, i, i + length))
                 i += length
@@ -137,9 +143,9 @@ class TestTokenize:
 class TestTaxonomy:
     def test_bundled_taxonomies_load(self):
         r2r = load_taxonomy("r2r")
-        assert set(r2r.labels) == {"right", "left", "around"}
+        assert r2r.label_set == {"right", "left", "around"}
         urban = load_taxonomy("urban")
-        assert set(urban.labels) == {
+        assert urban.label_set == {
             "right",
             "left",
             "nine_oclock",
@@ -155,7 +161,7 @@ class TestTaxonomy:
         p = tmp_path / "tiny.json"
         p.write_text('{"name": "tiny", "classes": [{"label": "up", "phrases": ["go up"]}]}')
         tax = load_taxonomy(p)
-        assert tax.labels == ("up",)
+        assert [label for label, _ in tax.classes] == ["up"]
 
     def test_bare_name_ignores_file_of_that_name_in_cwd(self, tmp_path, monkeypatch):
         (tmp_path / "r2r").write_text("not json", encoding="utf-8")
@@ -168,7 +174,7 @@ class TestTaxonomy:
             '{"name": "custom", "classes": [{"label": "down", "phrases": ["go down"]}]}'
         )
         monkeypatch.setenv("NAVEVAL_DATA_DIR", str(tmp_path))
-        assert load_taxonomy("custom").labels == ("down",)
+        assert [label for label, _ in load_taxonomy("custom").classes] == ["down"]
 
     def test_duplicate_label_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -185,6 +191,22 @@ class TestTaxonomy:
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError, match="empty after tokenization"):
             DirectionTaxonomy(name="bad", classes=(("left", ("...",)),))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"name": 5, "classes": [{"label": "up", "phrases": ["go up"]}]},
+            {"name": "t", "classes": []},
+            {"name": "t", "classes": [{"label": 5, "phrases": ["go up"]}]},
+            {"name": "t", "classes": [{"label": "up", "phrases": []}]},
+            {"name": "t", "classes": [{"label": "up", "phrases": "go up"}]},
+            {"name": "t", "classes": [{"label": "up", "phrases": ["go up", 5]}]},
+        ],
+        ids=["name-not-str", "no-classes", "label-not-str", "no-phrases", "phrases-not-list", "phrase-not-str"],
+    )
+    def test_from_mapping_rejects_malformed_document(self, doc):
+        with pytest.raises(ValueError):
+            DirectionTaxonomy.from_mapping(doc)
 
 
 @pytest.fixture(scope="module")
@@ -214,6 +236,9 @@ class TestParseDirections:
         phrases = parse_directions(tokenize("make a right"), tax)
         assert [p.class_label for p in phrases] == ["right"]
         assert phrases[0].token_span == (0, 3)
+        # Also among phrases that share their first token.
+        tax = DirectionTaxonomy(name="t", classes=(("left", ("turn",)), ("around", ("turn around",))))
+        assert direction_labels(tokenize("turn around"), tax) == ["around"]
 
     def test_spans_ordered_and_disjoint(self, r2r):
         phrases = parse_directions(
@@ -236,7 +261,7 @@ class TestParseDirections:
     def test_random_insertions_recover_label_sequence(self, r2r):
         """Phrases dropped into neutral filler text are recovered in order with disjoint spans."""
         rng = random.Random(42)
-        phrase_pool = [(" ".join(toks), label) for toks, label in r2r.phrase_index.items()]
+        phrase_pool = [(" ".join(toks), label) for toks, label in phrase_labels(r2r).items()]
         filler = ["walk", "go", "past", "the", "to", "door", "room", "hall", "stairs", "straight"]
         for _ in range(300):
             expected = []
@@ -259,7 +284,7 @@ class TestParseDirections:
     def test_scan_matches_loop_over_every_position(self, name):
         """Phrase tokens, their parts and filler in random order, as the reference loop finds them."""
         taxonomy = load_taxonomy(name)
-        pool = sorted({tok for phrase in taxonomy.phrase_index for tok in phrase}) + ["the", "walk", "u"]
+        pool = sorted({tok for phrase in phrase_labels(taxonomy) for tok in phrase}) + ["the", "walk", "u"]
         rng = random.Random(13)
         for _ in range(3000):
             tokens = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 12)))
@@ -281,6 +306,11 @@ class TestChunkInstruction:
             "go down the stairs",
             "then stop at the door",
         ]
+
+    def test_boundary_at_token_one(self):
+        ins = tokenize("stop then turn left")
+        chunks = chunk_instruction(ins, VERBS)
+        assert [span_text(ins, c.token_span) for c in chunks] == ["stop", "then turn left"]
 
     def test_boundary_on_and(self):
         ins = tokenize("Walk out of the bathroom and go into the living room")
