@@ -529,6 +529,24 @@ def _cmd_kb(args: argparse.Namespace) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose help goes to stdout as every other output does.
+
+    argparse writes the help to stderr when stdout is closed, and ignores a
+    write that fails; here either is exit 1 with the stdout error.
+    """
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            super().print_help(file)
+            return
+        _emit(self.format_help(), None)
+        try:
+            sys.stdout.flush()  # argparse raises SystemExit next, which skips run()'s flush
+        except OSError as exc:
+            raise _stdout_error(exc) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="write output to this file atomically instead of stdout")
@@ -540,9 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="direction taxonomy: a bundled name (r2r, urban) or a JSON file path",
     )
 
-    parser = argparse.ArgumentParser(
-        prog="naveval", description="Navigation-instruction evaluation toolkit."
-    )
+    parser = _Parser(prog="naveval", description="Navigation-instruction evaluation toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_score = sub.add_parser("score", parents=[taxonomy, output], help="score a JSONL corpus against references")
@@ -599,8 +615,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
     except CommandError as exc:
         _to_stderr(f"naveval: error: {exc}")

@@ -65,7 +65,8 @@ class SynonymMap:
         return self._mapping.get(word, word)
 
     def canonical_set(self, tuples: frozenset[SemanticTuple]) -> frozenset[SemanticTuple]:
-        return frozenset(tuple(self.canonical(e) for e in t) for t in tuples)
+        get = self._mapping.get
+        return frozenset(tuple(map(get, t, t)) for t in tuples)
 
 
 def _canonical(tuples: frozenset[SemanticTuple], synonyms: SynonymMap | None) -> frozenset[SemanticTuple]:
@@ -246,8 +247,9 @@ class ScoringInput(Record):
 
 def check_labels(labels: Iterable[str], taxonomy: DirectionTaxonomy) -> None:
     """Raise ValueError naming every label that is not a class of the taxonomy."""
-    unknown = sorted(set(labels) - taxonomy.label_set)
-    if unknown:
+    labels = tuple(labels)  # an iterator is read twice when a label is unknown
+    if not taxonomy.label_set.issuperset(labels):
+        unknown = sorted(set(labels) - taxonomy.label_set)
         raise ValueError(f"direction labels not in taxonomy {taxonomy.name!r}: {', '.join(unknown)}")
 
 

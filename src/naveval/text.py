@@ -10,9 +10,11 @@ from pathlib import Path
 
 from ._record import Record, _set
 
-# A token is a maximal run of characters other than whitespace and .,;:!?"
-# Python's \s matches exactly the characters for which str.isspace() is true.
-_TOKEN_RE = re.compile(r'[^\s.,;:!?"]+')
+# The punctuation characters that separate tokens, as whitespace does. A token
+# is a maximal run of characters other than whitespace and these. Python's \s
+# matches exactly the characters for which str.isspace() is true.
+_SEPARATORS = '.,;:!?"'
+_TOKEN_RE = re.compile(rf"[^\s{re.escape(_SEPARATORS)}]+")
 _SPACE_RE = re.compile(r"\s")
 
 # Tokens that open a new sub-instruction chunk.
@@ -82,10 +84,24 @@ def tokenize(raw: str) -> Instruction:
 def _words(raw: str) -> tuple[str, ...]:
     """tokenize(raw).tokens, without the spans and the Instruction.
 
-    Each token is lowercased on its own, as in tokenize: lowering the whole
-    text first differs at a final sigma ("ΑΣ.Β" gives "ας" here).
+    Each separator punctuation character becomes one space, the whole text is
+    lowered once, and str.split() cuts it. This gives exactly the tokens of
+    _TOKEN_RE, each lowered on its own as tokenize lowers it:
+
+    - Each separator becomes exactly one space, and str.split() splits on
+      exactly the str.isspace() characters that \\s matches. So the runs of
+      non-space characters are the regex's tokens.
+    - Capital sigma is the only character whose lower() depends on its
+      context. That context stops at whitespace, which is neither cased nor
+      case-ignorable, so lowering the spaced text gives each token's own
+      lower(). The separators are replaced first because "." and ":" are
+      case-ignorable: "ΑΣ.Β" gives ("ας", "β"), while "ΑΣ.Β".lower() is "ασ.β".
+    - lower() maps no non-space character to whitespace, and no whitespace
+      character to a non-space one.
     """
-    return tuple(map(str.lower, _TOKEN_RE.findall(raw)))
+    for separator in _SEPARATORS:
+        raw = raw.replace(separator, " ")
+    return tuple(raw.lower().split())
 
 
 class DirectionPhrase(Record):

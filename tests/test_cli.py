@@ -1012,6 +1012,16 @@ def test_stdout_closed_at_start_is_a_clean_error():
     assert proc.stderr == f"naveval: error: cannot write to stdout: {os.strerror(errno.EBADF)}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, redirect, error",
+    [(["--help"], ">&-", errno.EBADF), (["score", "--help"], ">/dev/full", errno.ENOSPC)],
+    ids=["closed", "full"],
+)
+def test_help_that_cannot_be_written_is_a_clean_error(argv, redirect, error):
+    proc = _run_shell(argv, redirect, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (1, f"naveval: error: cannot write to stdout: {os.strerror(error)}\n")
+
+
 def test_public_names_resolve_on_first_access():
     import naveval
 
@@ -1071,6 +1081,18 @@ class TestParser:
         with pytest.raises(SystemExit) as excinfo:
             main(["score"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, usage",
+        [(["--help"], "usage: naveval [-h]"), (["kb", "query", "-h"], "usage: naveval kb query [-h]")],
+        ids=["top-level", "kb-query"],
+    )
+    def test_help_goes_to_stdout_and_exits_zero(self, capsys, argv, usage):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, err) == (0, "")
+        assert out.startswith(usage)
 
     def test_unknown_command_exits_two(self):
         with pytest.raises(SystemExit) as excinfo:

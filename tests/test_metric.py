@@ -6,6 +6,7 @@ import pytest
 from naveval.metric import (
     ScoringInput,
     SynonymMap,
+    check_labels,
     lcs_length,
     normalize_tuples,
     score_pair,
@@ -238,6 +239,23 @@ class TestSpiceDScore:
 @pytest.fixture(scope="module")
 def r2r():
     return load_taxonomy("r2r")
+
+
+class TestCheckLabels:
+    def test_known_labels_pass(self, r2r):
+        for labels in (["left", "around"], (), iter(("right", "right"))):
+            check_labels(labels, r2r)
+
+    @pytest.mark.parametrize(
+        "make",
+        [list, tuple, iter, lambda labels: (label for label in labels)],
+        ids=["list", "tuple", "iterator", "generator"],
+    )
+    def test_unknown_labels_named_once_and_sorted(self, r2r, make):
+        # A one-shot iterator is read in full before the error names its labels.
+        with pytest.raises(ValueError) as excinfo:
+            check_labels(make(["upward", "left", "sideways", "sideways"]), r2r)
+        assert str(excinfo.value) == "direction labels not in taxonomy 'r2r': sideways, upward"
 
 
 class TestScorePair:

@@ -6,11 +6,11 @@ import json
 import pytest
 
 from naveval.cli import _score_report_text
-from naveval.metric import ScoreReport, spice_d_score
+from naveval.metric import ScoreReport, SynonymMap, spice_d_score
 from naveval.text import _labels, _words, direction_labels, load_taxonomy, tokenize
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -79,6 +79,34 @@ def test_swapping_sides_swaps_precision_and_recall(cand, ref):
     assert (backward.pr_s, backward.re_s) == (forward.re_s, forward.pr_s)
     assert (backward.pr_sd, backward.re_sd) == (forward.re_sd, forward.pr_sd)
     assert (backward.spice, backward.spice_d) == (forward.spice, forward.spice_d)
+
+
+NOUNS = ("sofa", "couch", "settee", "door", "doorway", "table", "red")
+
+
+@st.composite
+def synonym_groups(draw):
+    """Disjoint groups over a shuffled part of NOUNS."""
+    members = draw(st.permutations(NOUNS))[: draw(st.integers(0, len(NOUNS)))]
+    groups, start = [], 0
+    while start < len(members):
+        size = draw(st.integers(1, 3))
+        groups.append(members[start : start + size])
+        start += size
+    return groups
+
+
+noun_tuples = st.frozensets(st.lists(st.sampled_from(NOUNS), min_size=1, max_size=3).map(tuple), max_size=6)
+
+
+@PROPERTY_SETTINGS
+@given(synonym_groups(), noun_tuples)
+# Two tuples that collapse into one.
+@example([["sofa", "couch"]], frozenset({("sofa", "red"), ("couch", "red"), ("door",)}))
+def test_canonical_set_canonicalizes_each_element(groups, tuple_set):
+    synonyms = SynonymMap(groups)
+    expected = frozenset(tuple(synonyms.canonical(e) for e in t) for t in tuple_set)
+    assert synonyms.canonical_set(tuple_set) == expected
 
 
 # Strings with the characters json escapes: quotes, backslashes, control

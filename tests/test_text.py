@@ -16,6 +16,8 @@ from naveval.text import (
     tokenize,
 )
 
+from words_exact import mismatched_blocks
+
 VERBS = frozenset({"walk", "go", "turn", "stop", "exit", "enter", "take", "make", "veer", "wait"})
 
 SEPARATOR_PUNCTUATION = frozenset('.,;:!?"')
@@ -132,6 +134,12 @@ class TestTokenize:
         """A final sigma lowers to ς at the end of a token and to σ mid-text."""
         assert _words("ΑΣ.Β") == tokenize("ΑΣ.Β").tokens == ("ας", "β")
         assert "ΑΣ.Β".lower() == "ασ.β"
+
+    @pytest.mark.parametrize("context", ["ΑΣ{}Β", "Α{}Σ", "İ{}x"])
+    def test_words_match_the_regex_for_every_code_point_in_context(self, context):
+        """_words equals the lowered regex tokens with each code point beside a
+        capital sigma or İ. tests/words_exact.py runs more contexts as a script."""
+        assert mismatched_blocks(context) == []
 
     def test_instruction_validates_spans(self):
         with pytest.raises(ValueError):
