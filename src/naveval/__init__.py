@@ -45,7 +45,6 @@ _HOMES = {
         "pearson",
     ),
     "text": (
-        "DirectionPhrase",
         "DirectionTaxonomy",
         "Instruction",
         "SubInstruction",
@@ -53,7 +52,6 @@ _HOMES = {
         "direction_labels",
         "load_taxonomy",
         "load_verb_lexicon",
-        "parse_directions",
         "span_text",
         "tokenize",
     ),

@@ -452,13 +452,18 @@ def _read_score_table(path: Path) -> tuple[list[str], dict[str, list[float | Non
 
 
 def _parse_cell(cell: str, path: Path, lineno: int) -> float | None:
+    from math import isfinite
+
     cell = cell.strip()
     if not cell:
         return None
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise SchemaError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
+    if not isfinite(value):
+        raise SchemaError(f"{path}:{lineno}: non-finite value {cell!r}")
+    return value
 
 
 def _cmd_correlate(args: argparse.Namespace) -> int:

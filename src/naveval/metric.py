@@ -17,11 +17,15 @@ AGGREGATIONS = ("max", "mean")
 
 
 def normalize_tuples(raw: Iterable[Sequence[str]]) -> frozenset[SemanticTuple]:
-    """Validate and normalize raw tuple data into a set of lowercase tuples."""
+    """Validate and normalize raw tuple data into a set of lowercase tuples.
+
+    Each raw tuple is a list or a tuple of 1-3 nonempty strings.
+    """
     out: set[SemanticTuple] = set()
     for item in raw:
-        if isinstance(item, str):
-            raise ValueError("each semantic tuple must be a sequence of strings, not a bare string")
+        if not isinstance(item, (list, tuple)):
+            what = "a bare string" if isinstance(item, str) else repr(item)
+            raise ValueError(f"each semantic tuple must be a sequence of strings, not {what}")
         elems = tuple(item)
         if not 1 <= len(elems) <= 3:
             raise ValueError(f"semantic tuple arity must be 1-3, got {len(elems)}")

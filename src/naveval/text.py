@@ -1,21 +1,17 @@
-"""Tokenization, direction taxonomies, phrase parsing, and sub-instruction chunking."""
+"""Tokenization, direction taxonomies, direction labels, and sub-instruction chunking."""
 
 from __future__ import annotations
 
 import json
 import os
-import re
 from collections.abc import Iterable
 from pathlib import Path
 
 from ._record import Record, _set
 
 # The punctuation characters that separate tokens, as whitespace does. A token
-# is a maximal run of characters other than whitespace and these. Python's \s
-# matches exactly the characters for which str.isspace() is true.
+# is a maximal run of characters other than whitespace and these.
 _SEPARATORS = '.,;:!?"'
-_TOKEN_RE = re.compile(rf"[^\s{re.escape(_SEPARATORS)}]+")
-_SPACE_RE = re.compile(r"\s")
 
 # Tokens that open a new sub-instruction chunk.
 BOUNDARY_TOKENS = frozenset({"and", "then"})
@@ -41,7 +37,7 @@ class Instruction(Record):
             raise ValueError("tokens and spans must have equal length")
         prev_end = 0
         for tok, (start, end) in zip(tokens, spans):
-            if not tok or _SPACE_RE.search(tok):
+            if tok.split() != [tok]:
                 raise ValueError(f"invalid token {tok!r}: tokens must be nonempty and whitespace-free")
             if not (0 <= start < end <= len(raw)) or start < prev_end:
                 raise ValueError("token spans must be strictly increasing and within the raw text")
@@ -65,53 +61,42 @@ class Instruction(Record):
         return len(self.tokens)
 
 
-def tokenize(raw: str) -> Instruction:
-    r"""Split raw text into lowercase tokens.
+def _spaced(raw: str) -> str:
+    """raw with each separator punctuation character replaced by one space."""
+    for separator in _SEPARATORS:
+        raw = raw.replace(separator, " ")
+    return raw
 
-    Tokens are the maximal matches of the regex [^\s.,;:!?"]+, so
-    whitespace and the punctuation characters .,;:!?" act as separators and
-    never appear inside tokens. Apostrophes and hyphens are kept, so "o'clock"
-    and "u-turn" survive as single tokens. Each token is lowercased on its own,
-    so spans index the raw text even where lower() changes a string's length.
+
+def tokenize(raw: str) -> Instruction:
+    """Split raw text into lowercase tokens, the words of _words, with their spans.
+
+    Spans are found in the spaced text before it is lowered, so they index raw
+    even where lower() changes a word's length. A word holds no whitespace and
+    only whitespace precedes it, so its first match at or after the previous
+    word's end is the word itself.
     Total: any string, including the empty one, yields a valid Instruction.
     """
-    matches = list(_TOKEN_RE.finditer(raw))
-    return Instruction._trusted(
-        raw, tuple([m.group().lower() for m in matches]), tuple([m.span() for m in matches])
-    )
+    spaced = _spaced(raw)
+    spans = []
+    end = 0
+    for word in spaced.split():
+        start = spaced.index(word, end)
+        end = start + len(word)
+        spans.append((start, end))
+    return Instruction._trusted(raw, tuple(spaced.lower().split()), tuple(spans))
 
 
 def _words(raw: str) -> tuple[str, ...]:
-    """tokenize(raw).tokens, without the spans and the Instruction.
+    """The lowercase tokens of raw: the maximal runs of characters other than
+    whitespace and the separator punctuation .,;:!?\".
 
-    Each separator punctuation character becomes one space, the whole text is
-    lowered once, and str.split() cuts it. This gives exactly the tokens of
-    _TOKEN_RE, each lowered on its own as tokenize lowers it:
-
-    - Each separator becomes exactly one space, and str.split() splits on
-      exactly the str.isspace() characters that \\s matches. So the runs of
-      non-space characters are the regex's tokens.
-    - Capital sigma is the only character whose lower() depends on its
-      context. That context stops at whitespace, which is neither cased nor
-      case-ignorable, so lowering the spaced text gives each token's own
-      lower(). The separators are replaced first because "." and ":" are
-      case-ignorable: "ΑΣ.Β" gives ("ας", "β"), while "ΑΣ.Β".lower() is "ασ.β".
-    - lower() maps no non-space character to whitespace, and no whitespace
-      character to a non-space one.
+    Apostrophes and hyphens are kept, so "o'clock" and "u-turn" stay single
+    tokens. The separators are spaced out before the text is lowered, because
+    capital sigma lowers by context and "." and ":" do not end that context:
+    "ΑΣ.Β" gives ("ας", "β"), as each token lowered on its own does.
     """
-    for separator in _SEPARATORS:
-        raw = raw.replace(separator, " ")
-    return tuple(raw.lower().split())
-
-
-class DirectionPhrase(Record):
-    """One matched direction phrase: its class label and the token span it covers."""
-
-    __slots__ = _fields = ("class_label", "token_span")
-
-    def __init__(self, class_label: str, token_span: tuple[int, int]) -> None:
-        _set(self, "class_label", class_label)
-        _set(self, "token_span", token_span)
+    return tuple(_spaced(raw).lower().split())
 
 
 class DirectionTaxonomy(Record):
@@ -138,7 +123,7 @@ class DirectionTaxonomy(Record):
                 raise ValueError(f"duplicate direction class {label!r}")
             seen.add(label)
             for phrase in phrases:
-                toks = tokenize(phrase).tokens
+                toks = _words(phrase)
                 if not toks:
                     raise ValueError(f"phrase {phrase!r} in class {label!r} is empty after tokenization")
                 owner = index.get(toks)
@@ -209,14 +194,14 @@ def _looks_like_path(s: str) -> bool:
     return s.endswith(".json") or os.sep in s or bool(os.altsep and os.altsep in s)
 
 
-def _scan(tokens: tuple[str, ...], taxonomy: DirectionTaxonomy) -> list[tuple[str, int, int]]:
-    """The scan of parse_directions, as (label, start, end) per matched phrase.
+def _labels(tokens: tuple[str, ...], taxonomy: DirectionTaxonomy) -> list[str]:
+    """direction_labels on the tokens alone.
 
     Only a position whose token begins some phrase can match, so only those
     positions are tried.
     """
     matcher: dict[str, list[tuple[tuple[str, ...], str]]] = taxonomy._matcher  # type: ignore[attr-defined]
-    found: list[tuple[str, int, int]] = []
+    labels: list[str] = []
     end = 0  # the scan resumes here
     for start in [i for i, tok in enumerate(tokens) if tok in matcher]:
         if start < end:
@@ -224,28 +209,17 @@ def _scan(tokens: tuple[str, ...], taxonomy: DirectionTaxonomy) -> list[tuple[st
         for phrase, label in matcher[tokens[start]]:
             if tokens[start : start + len(phrase)] == phrase:
                 end = start + len(phrase)
-                found.append((label, start, end))
+                labels.append(label)
                 break
-    return found
-
-
-def _labels(tokens: tuple[str, ...], taxonomy: DirectionTaxonomy) -> list[str]:
-    return [label for label, _, _ in _scan(tokens, taxonomy)]
-
-
-def parse_directions(instruction: Instruction, taxonomy: DirectionTaxonomy) -> list[DirectionPhrase]:
-    """Greedy longest-match scan for direction phrases, left to right.
-
-    At each token position the longest matching phrase from any class wins and
-    the scan resumes past it, so matched spans never overlap.
-    """
-    return [
-        DirectionPhrase(label, (start, end)) for label, start, end in _scan(instruction.tokens, taxonomy)
-    ]
+    return labels
 
 
 def direction_labels(instruction: Instruction, taxonomy: DirectionTaxonomy) -> list[str]:
-    """The ordered sequence of direction-class labels found in the instruction."""
+    """The ordered direction-class labels of a greedy longest-match scan, left to right.
+
+    At each token position the longest matching phrase from any class wins and
+    the scan resumes past it, so matched phrases never overlap.
+    """
     return _labels(instruction.tokens, taxonomy)
 
 

@@ -166,6 +166,21 @@ class TestScore:
         assert code == 2
         assert ":2:" in err
 
+    @pytest.mark.parametrize(
+        "entry, shown",
+        [(5, "5"), (None, "None"), ({"a": 1}, "{'a': 1}"), ("door", "a bare string")],
+        ids=["number", "null", "object", "string"],
+    )
+    def test_tuple_entry_that_is_not_a_list(self, capsys, tmp_path, entry, shown):
+        cands = tmp_path / "c.jsonl"
+        write_jsonl(cands, [{"id": "a", "text": "turn left", "tuples": [["door"], entry]}])
+        refs = tmp_path / "r.jsonl"
+        write_jsonl(refs, [{"id": "a", "text": "turn left", "tuples": [["door"]]}])
+        code, out, err = run_cli(capsys, "score", str(cands), str(refs))
+        assert code == 2
+        assert out == ""
+        assert f"{cands}:1: each semantic tuple must be a sequence of strings, not {shown}" in err
+
     def test_duplicate_candidate_id(self, capsys, tmp_path):
         cands = tmp_path / "c.jsonl"
         write_jsonl(cands, [{"id": "a", "text": "turn left"}, {"id": "a", "text": "turn right"}])
@@ -478,6 +493,16 @@ class TestCorrelate:
         code, _, err = run_cli(capsys, "correlate", path)
         assert code == 2
         assert ":2:" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "-Infinity"])
+    @pytest.mark.parametrize("column", ["metric", "human"])
+    def test_non_finite_cell(self, capsys, tmp_path, cell, column):
+        rows = ["q1,1,1", "q2,2,3", "q3,3,2", f"q4,{cell},4" if column == "metric" else f"q4,4,{cell}"]
+        path = self.write_table(tmp_path, "id,m,human\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(capsys, "correlate", path)
+        assert code == 2
+        assert out == ""
+        assert f"{path}:5: non-finite value {cell!r}" in err
 
     def test_bad_header(self, capsys, tmp_path):
         path = self.write_table(tmp_path, "name,m,human\nq1,1,1\n")
@@ -1054,7 +1079,6 @@ def test_public_names_resolve_on_first_access():
         "MetricCorrelation",
         "correlate_metrics",
         "pearson",
-        "DirectionPhrase",
         "DirectionTaxonomy",
         "Instruction",
         "SubInstruction",
@@ -1062,7 +1086,6 @@ def test_public_names_resolve_on_first_access():
         "direction_labels",
         "load_taxonomy",
         "load_verb_lexicon",
-        "parse_directions",
         "span_text",
         "tokenize",
     ]

@@ -13,7 +13,7 @@ from naveval.align import TargetMatrix
 from naveval.knowledge import KnowledgeFact
 from naveval.metric import ScoreReport, ScoringInput
 from naveval.stats import CorrelationReport, MetricCorrelation
-from naveval.text import DirectionPhrase, DirectionTaxonomy, Instruction, SubInstruction
+from naveval.text import DirectionTaxonomy, Instruction, SubInstruction
 
 REPORT = dict(
     spice=0.5,
@@ -59,13 +59,6 @@ CASES = [
         dict(raw="turn left"),
         "Instruction(raw='Turn left', tokens=('turn', 'left'), spans=((0, 4), (5, 9)))",
         dict(raw="Turn left", tokens=("turn", "left"), spans=((0, 4), (5, 10))),
-    ),
-    (
-        DirectionPhrase,
-        dict(class_label="left", token_span=(1, 2)),
-        dict(token_span=(0, 2)),
-        "DirectionPhrase(class_label='left', token_span=(1, 2))",
-        None,
     ),
     (
         DirectionTaxonomy,

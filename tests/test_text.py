@@ -11,7 +11,6 @@ from naveval.text import (
     direction_labels,
     load_taxonomy,
     load_verb_lexicon,
-    parse_directions,
     span_text,
     tokenize,
 )
@@ -48,7 +47,9 @@ def phrase_labels(taxonomy):
 
 
 def loop_parse_directions(tokens, taxonomy):
-    """Reference scan: the greedy loop that tries every token position."""
+    """Reference scan: the greedy loop that tries every token position.
+
+    Gives (label, start, end) per matched phrase, end exclusive."""
     index = phrase_labels(taxonomy)
     out = []
     i = 0
@@ -144,6 +145,8 @@ class TestTokenize:
     def test_instruction_validates_spans(self):
         with pytest.raises(ValueError):
             Instruction(raw="ab", tokens=("a", "b"), spans=((0, 1), (0, 1)))
+        with pytest.raises(ValueError, match="spans"):
+            Instruction(raw="ab", tokens=("a",), spans=((1, 1),))
         with pytest.raises(ValueError):
             Instruction(raw="ab", tokens=("a b",), spans=((0, 2),))
 
@@ -241,23 +244,21 @@ class TestParseDirections:
 
     def test_longest_match_wins(self):
         tax = DirectionTaxonomy(name="t", classes=(("right", ("right", "make a right")),))
-        phrases = parse_directions(tokenize("make a right"), tax)
-        assert [p.class_label for p in phrases] == ["right"]
-        assert phrases[0].token_span == (0, 3)
+        ins = tokenize("make a right")
+        assert loop_parse_directions(ins.tokens, tax) == [("right", 0, 3)]
+        assert direction_labels(ins, tax) == ["right"]
         # Also among phrases that share their first token.
         tax = DirectionTaxonomy(name="t", classes=(("left", ("turn",)), ("around", ("turn around",))))
         assert direction_labels(tokenize("turn around"), tax) == ["around"]
 
     def test_spans_ordered_and_disjoint(self, r2r):
-        phrases = parse_directions(
-            tokenize("turn left, turn to the right, then turn around"), r2r
-        )
-        assert [p.class_label for p in phrases] == ["left", "right", "around"]
+        ins = tokenize("turn left, turn to the right, then turn around")
+        expected = loop_parse_directions(ins.tokens, r2r)
+        assert direction_labels(ins, r2r) == [label for label, _, _ in expected] == ["left", "right", "around"]
         prev_end = 0
-        for p in phrases:
-            assert p.token_span[0] >= prev_end
-            assert p.token_span[0] < p.token_span[1]
-            prev_end = p.token_span[1]
+        for _, start, end in expected:
+            assert prev_end <= start < end
+            prev_end = end
 
     def test_urban_clock_phrases(self):
         urban = load_taxonomy("urban")
@@ -281,12 +282,8 @@ class TestParseDirections:
                 expected.append(label)
             words.extend(rng.choice(filler) for _ in range(rng.randrange(0, 3)))
             ins = tokenize(" ".join(words))
-            phrases = parse_directions(ins, r2r)
-            assert [p.class_label for p in phrases] == expected
-            prev_end = 0
-            for p in phrases:
-                assert prev_end <= p.token_span[0] < p.token_span[1]
-                prev_end = p.token_span[1]
+            assert direction_labels(ins, r2r) == expected
+            assert [label for label, _, _ in loop_parse_directions(ins.tokens, r2r)] == expected
 
     @pytest.mark.parametrize("name", ["r2r", "urban"])
     def test_scan_matches_loop_over_every_position(self, name):
@@ -296,14 +293,13 @@ class TestParseDirections:
         rng = random.Random(13)
         for _ in range(3000):
             tokens = tuple(rng.choice(pool) for _ in range(rng.randrange(0, 12)))
-            expected = loop_parse_directions(tokens, taxonomy)
-            assert _labels(tokens, taxonomy) == [label for label, _, _ in expected]
-            ins = tokenize(" ".join(tokens))
-            assert [(p.class_label, *p.token_span) for p in parse_directions(ins, taxonomy)] == expected
+            expected = [label for label, _, _ in loop_parse_directions(tokens, taxonomy)]
+            assert _labels(tokens, taxonomy) == expected
+            assert direction_labels(tokenize(" ".join(tokens)), taxonomy) == expected
 
     def test_deterministic(self, r2r):
         ins = tokenize("turn left and turn right then turn around")
-        assert parse_directions(ins, r2r) == parse_directions(ins, r2r)
+        assert direction_labels(ins, r2r) == direction_labels(ins, r2r) == ["left", "right", "around"]
 
 
 class TestChunkInstruction:
