@@ -20,7 +20,7 @@ from pathlib import Path
 # them, so kb query and align load neither; typing is not loaded either.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
-    from .metric import ScoreReport, ScoringInput, SynonymMap
+    from .metric import ScoreReport, SynonymMap, _Side
     from .text import DirectionTaxonomy
 
 DEFAULT_TAXONOMY = "r2r"
@@ -55,15 +55,16 @@ def _read_text(path: Path) -> str:
         raise InputError(str(exc)) from None
 
 
-def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[tuple[str, ScoringInput]]:
-    """Each JSONL corpus row as its id and its scoring input, fully validated.
+def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | None = None) -> list[tuple[str, _Side]]:
+    """Each JSONL corpus row as its id and its scoring side, fully validated.
 
-    The direction labels are the explicit ones, checked against the taxonomy,
-    or else those parsed from the text's words here, so no Instruction is built.
-    Parsed labels are classes of the taxonomy by construction and are not
-    checked again.
+    A side is the row's tuple set (None when it has no 'tuples'), checked,
+    normalized and canonicalized with the synonyms in one pass, and its
+    direction labels: the explicit ones, checked against the taxonomy once,
+    here, or else those parsed from the text's words, which are classes of
+    the taxonomy by construction.
     """
-    from .metric import ScoringInput, check_labels
+    from .metric import _tuple_set, check_labels
     from .text import _labels, _words
 
     records = []
@@ -96,14 +97,16 @@ def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy) -> list[tuple[str, Scor
                 directions = _labels(_words(text), taxonomy)
             else:
                 check_labels(directions, taxonomy)
-            records.append((rid, ScoringInput(None, tuples, tuple(directions))))
+            if tuples is not None:
+                tuples = _tuple_set(tuples, synonyms, json.dumps)
         except ValueError as exc:
             raise SchemaError(f"{where}: {exc}") from None
+        records.append((rid, (tuples, tuple(directions))))
     return records
 
 
-def _by_unique_id(records: list[tuple[str, ScoringInput]], path: str, kind: str) -> dict[str, ScoringInput]:
-    by_id: dict[str, ScoringInput] = {}
+def _by_unique_id(records: list[tuple[str, _Side]], path: str, kind: str) -> dict[str, _Side]:
+    by_id: dict[str, _Side] = {}
     for rid, item in records:
         if rid in by_id:
             raise SchemaError(f"{path}: duplicate {kind} id {rid!r}")
@@ -284,32 +287,34 @@ def _score_report_text(
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    from .metric import score_pair
+    from .metric import _score
 
     taxonomy = _taxonomy_from_args(args)
-    records = _load_jsonl(Path(args.candidates), taxonomy)
+    # The synonyms canonicalize each record as it is loaded, but a synonyms
+    # file that cannot be used is reported after every corpus error.
+    try:
+        synonyms, synonyms_error = _synonyms_from_args(args), None
+    except CommandError as exc:
+        synonyms, synonyms_error = None, exc
+    records = _load_jsonl(Path(args.candidates), taxonomy, synonyms)
     if not records:
         raise InputError(f"{args.candidates}: no candidate records")
     candidates = _by_unique_id(records, args.candidates, "candidate")
 
-    references: dict[str, list[ScoringInput]] = {}
-    for rid, ref in _load_jsonl(Path(args.references), taxonomy):
+    references: dict[str, list[_Side]] = {}
+    for rid, ref in _load_jsonl(Path(args.references), taxonomy, synonyms):
         references.setdefault(rid, []).append(ref)
 
     missing = [rid for rid in candidates if rid not in references]
     if missing:
         raise InputError("candidate ids missing from references: " + ", ".join(missing))
-
-    synonyms = _synonyms_from_args(args)
+    if synonyms_error is not None:
+        raise synonyms_error
 
     rows = []
     for rid, cand in candidates.items():
         refs = references[rid]
-        try:
-            report = score_pair(cand, refs, taxonomy, synonyms, aggregation=args.aggregation)
-        except ValueError as exc:
-            raise InputError(f"id {rid!r}: {exc}") from None
-        rows.append((rid, len(refs), report))
+        rows.append((rid, len(refs), _score(cand, refs, args.aggregation)))
 
     n = len(rows)
     corpus = {
@@ -319,6 +324,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
         "n_direction_only": sum(1 for _, _, r in rows if r.direction_only),
     }
     _emit(_score_report_text(taxonomy.name, args.aggregation, rows, corpus), args.out)
+    orphans = sum(len(refs) for rid, refs in references.items() if rid not in candidates)
+    if orphans:
+        _note(args, f"ignored {orphans} reference records whose id no candidate has")
     _note(
         args,
         f"scored {n} records: mean SPICE {corpus['mean_spice']:.4f}, "
@@ -486,7 +494,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
             raise InputError(
                 "table ids missing from the instructions file: " + ", ".join(unknown)
             )
-        keep = [i for i, rid in enumerate(ids) if len(instructions[rid].directions) >= args.min_directions]
+        keep = [i for i, rid in enumerate(ids) if len(instructions[rid][1]) >= args.min_directions]
         n_filtered = len(ids) - len(keep)
         ids = [ids[i] for i in keep]
         columns = {name: [col[i] for i in keep] for name, col in columns.items()}

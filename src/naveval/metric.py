@@ -21,20 +21,27 @@ def normalize_tuples(raw: Iterable[Sequence[str]]) -> frozenset[SemanticTuple]:
 
     Each raw tuple is a list or a tuple of 1-3 nonempty strings.
     """
+    return _tuple_set(raw)
+
+
+def _tuple_set(raw: Iterable[Sequence[str]], synonyms: SynonymMap | None = None, spell=repr) -> frozenset[SemanticTuple]:
+    # normalize_tuples with each word canonicalized by the synonyms in the same
+    # pass; spell names an entry that is not a sequence in the error message.
+    get = {}.get if synonyms is None else synonyms._mapping.get
     out: set[SemanticTuple] = set()
     for item in raw:
         if not isinstance(item, (list, tuple)):
-            what = "a bare string" if isinstance(item, str) else repr(item)
+            what = "a bare string" if isinstance(item, str) else spell(item)
             raise ValueError(f"each semantic tuple must be a sequence of strings, not {what}")
-        elems = tuple(item)
-        if not 1 <= len(elems) <= 3:
-            raise ValueError(f"semantic tuple arity must be 1-3, got {len(elems)}")
-        norm = []
-        for e in elems:
-            if not isinstance(e, str) or not e.strip():
+        if not 1 <= len(item) <= 3:
+            raise ValueError(f"semantic tuple arity must be 1-3, got {len(item)}")
+        words = []
+        for e in item:
+            if not isinstance(e, str) or not (word := e.strip()):
                 raise ValueError(f"semantic tuple elements must be nonempty strings, got {e!r}")
-            norm.append(e.strip().lower())
-        out.add(tuple(norm))
+            word = word.lower()
+            words.append(get(word, word))
+        out.add(tuple(words))
     return frozenset(out)
 
 
@@ -71,10 +78,6 @@ class SynonymMap:
     def canonical_set(self, tuples: frozenset[SemanticTuple]) -> frozenset[SemanticTuple]:
         get = self._mapping.get
         return frozenset(tuple(map(get, t, t)) for t in tuples)
-
-
-def _canonical(tuples: frozenset[SemanticTuple], synonyms: SynonymMap | None) -> frozenset[SemanticTuple]:
-    return tuples if synonyms is None else synonyms.canonical_set(tuples)
 
 
 def _ratio(num: int, den: int) -> float:
@@ -171,9 +174,9 @@ def spice_d_score(
     canonicalized once with the synonyms. With no directions on either side
     this reduces exactly to plain SPICE.
     """
-    cand = _canonical(normalize_tuples(() if candidate_tuples is None else candidate_tuples), synonyms)
-    ref = _canonical(normalize_tuples(() if reference_tuples is None else reference_tuples), synonyms)
-    return _spice_d(cand, ref, candidate_dirs, reference_dirs)
+    cand = _tuple_set(() if candidate_tuples is None else candidate_tuples, synonyms)
+    ref = _tuple_set(() if reference_tuples is None else reference_tuples, synonyms)
+    return _score((cand, candidate_dirs), [(ref, reference_dirs)])
 
 
 def spice_score(
@@ -191,36 +194,43 @@ def spice_score(
     return r.pr_s, r.re_s, r.spice
 
 
-def _spice_d(
-    cand: frozenset[SemanticTuple],
-    ref: frozenset[SemanticTuple],
-    candidate_dirs: Sequence[str],
-    reference_dirs: Sequence[str],
-    direction_only: bool = False,
-) -> ScoreReport:
-    # spice_d_score on tuple sets that are already normalized and canonical.
-    inter = len(cand & ref)
-    pr_s = _ratio(inter, len(cand))
-    re_s = _ratio(inter, len(ref))
+# One side of a comparison: its canonical tuple set (None when the tuple
+# annotation is absent) and its direction labels.
+_Side = tuple[frozenset[SemanticTuple] | None, Sequence[str]]
 
-    matches = lcs_length(candidate_dirs, reference_dirs)
-    pr_sd = _ratio(inter + matches, len(cand) + len(candidate_dirs))
-    re_sd = _ratio(inter + matches, len(ref) + len(reference_dirs))
 
+def _score(candidate: _Side, references: Sequence[_Side], aggregation: str = "max") -> ScoreReport:
+    # The SPICE-D arithmetic of one candidate against each reference, as one
+    # report: under "max" the best reference's (earliest on ties), under
+    # "mean" the six score fields averaged with the best reference's counts.
+    # If any side has no tuple set, every side is scored on directions alone.
+    cand, cand_dirs = candidate
+    direction_only = cand is None or any(ref is None for ref, _ in references)
+    empty: frozenset[SemanticTuple] = frozenset()
+    if direction_only:
+        cand = empty
+    n_cand, n_cand_dirs = len(cand), len(cand_dirs)
+    rows = []
+    for ref, ref_dirs in references:
+        if direction_only:
+            ref = empty
+        n_ref, n_ref_dirs = len(ref), len(ref_dirs)
+        inter = len(cand & ref)
+        matches = lcs_length(cand_dirs, ref_dirs)
+        pr_s, re_s = _ratio(inter, n_cand), _ratio(inter, n_ref)
+        pr_sd, re_sd = _ratio(inter + matches, n_cand + n_cand_dirs), _ratio(inter + matches, n_ref + n_ref_dirs)
+        spice_d, spice = _f_score(pr_sd, re_sd), _f_score(pr_s, re_s)
+        rows.append((spice_d, spice, pr_s, re_s, pr_sd, re_sd, n_ref, inter, n_ref_dirs, matches))
+    best = rows[0]
+    for row in rows:
+        if row[0] > best[0]:
+            best = row
+    spice_d, spice, pr_s, re_s, pr_sd, re_sd, n_ref, inter, n_ref_dirs, matches = best
+    if aggregation == "mean":
+        n = len(rows)
+        spice_d, spice, pr_s, re_s, pr_sd, re_sd = [sum(column) / n for column in list(zip(*rows))[:6]]
     return ScoreReport(
-        spice=_f_score(pr_s, re_s),
-        spice_d=_f_score(pr_sd, re_sd),
-        pr_s=pr_s,
-        re_s=re_s,
-        pr_sd=pr_sd,
-        re_sd=re_sd,
-        n_cand_tuples=len(cand),
-        n_ref_tuples=len(ref),
-        n_tuple_matches=inter,
-        n_cand_dirs=len(candidate_dirs),
-        n_ref_dirs=len(reference_dirs),
-        n_dir_matches=matches,
-        direction_only=direction_only,
+        spice, spice_d, pr_s, re_s, pr_sd, re_sd, n_cand, n_ref, inter, n_cand_dirs, n_ref_dirs, matches, direction_only
     )
 
 
@@ -282,43 +292,16 @@ def score_pair(
     Each side's direction labels are its explicit directions, which must be
     classes of the taxonomy (else ValueError), or else the labels parsed from
     its instruction. Its tuples were normalized when the ScoringInput was
-    built; they are canonicalized with the synonyms once per side, and every
-    comparison uses the arithmetic of spice_d_score.
+    built; they are canonicalized with the synonyms once per side, and one
+    pass of spice_d_score's arithmetic over the references builds the report.
     """
     if not references:
         raise ValueError("at least one reference is required")
     if aggregation not in AGGREGATIONS:
         raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
 
-    direction_only = candidate.tuples is None or any(r.tuples is None for r in references)
+    def side(item: ScoringInput) -> _Side:
+        tuples = item.tuples if item.tuples is None or synonyms is None else synonyms.canonical_set(item.tuples)
+        return tuples, _resolve_directions(item, taxonomy)
 
-    def prepared(item: ScoringInput) -> tuple[frozenset[SemanticTuple], Sequence[str]]:
-        tuples = frozenset() if direction_only else item.tuples
-        return _canonical(tuples, synonyms), _resolve_directions(item, taxonomy)
-
-    cand_tuples, cand_dirs = prepared(candidate)
-    reports = []
-    for ref in references:
-        ref_tuples, ref_dirs = prepared(ref)
-        reports.append(_spice_d(cand_tuples, ref_tuples, cand_dirs, ref_dirs, direction_only))
-
-    best = max(range(len(reports)), key=lambda i: (reports[i].spice_d, -i))
-    chosen = reports[best]
-    if aggregation == "max":
-        return chosen
-    n = len(reports)
-    return ScoreReport(
-        spice=sum(r.spice for r in reports) / n,
-        spice_d=sum(r.spice_d for r in reports) / n,
-        pr_s=sum(r.pr_s for r in reports) / n,
-        re_s=sum(r.re_s for r in reports) / n,
-        pr_sd=sum(r.pr_sd for r in reports) / n,
-        re_sd=sum(r.re_sd for r in reports) / n,
-        n_cand_tuples=chosen.n_cand_tuples,
-        n_ref_tuples=chosen.n_ref_tuples,
-        n_tuple_matches=chosen.n_tuple_matches,
-        n_cand_dirs=chosen.n_cand_dirs,
-        n_ref_dirs=chosen.n_ref_dirs,
-        n_dir_matches=chosen.n_dir_matches,
-        direction_only=direction_only,
-    )
+    return _score(side(candidate), [side(ref) for ref in references], aggregation)

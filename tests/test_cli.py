@@ -60,9 +60,8 @@ class TestScore:
         assert code == 0
         records = [json.loads(line) for f in files for line in f.read_text(encoding="utf-8").splitlines()]
         explicit = [tuple(r["directions"]) for r in records if "directions" in r]
-        # Explicit labels once at load; every side once more in score_pair.
-        assert explicit and len(checked) == len(explicit) + len(records)
-        assert checked[: len(explicit)] == explicit
+        # Explicit labels once each, at load; scoring checks none again.
+        assert explicit and checked == explicit
 
     @pytest.mark.parametrize(
         "cand_text, ref_text, counts",
@@ -168,10 +167,11 @@ class TestScore:
 
     @pytest.mark.parametrize(
         "entry, shown",
-        [(5, "5"), (None, "None"), ({"a": 1}, "{'a': 1}"), ("door", "a bare string")],
-        ids=["number", "null", "object", "string"],
+        [(5, "5"), (None, "null"), (True, "true"), ({"a": 1}, '{"a": 1}'), ("door", "a bare string")],
+        ids=["number", "null", "boolean", "object", "string"],
     )
     def test_tuple_entry_that_is_not_a_list(self, capsys, tmp_path, entry, shown):
+        """The entry is named as the file spells it."""
         cands = tmp_path / "c.jsonl"
         write_jsonl(cands, [{"id": "a", "text": "turn left", "tuples": [["door"], entry]}])
         refs = tmp_path / "r.jsonl"
@@ -225,6 +225,50 @@ class TestScore:
         code, _, err = run_cli(capsys, "score", str(cands), str(refs))
         assert code == 2
         assert f"{cands}:2:" in err and "missing" not in err
+
+    @pytest.mark.parametrize("synonyms", ["missing", "malformed"])
+    @pytest.mark.parametrize("corpus", ["candidate schema", "reference schema", "missing id", "good"])
+    def test_bad_synonyms_reported_after_every_corpus_error(self, capsys, tmp_path, synonyms, corpus):
+        cands, refs, syn = tmp_path / "c.jsonl", tmp_path / "r.jsonl", tmp_path / "syn.json"
+        write_jsonl(cands, [{"id": "a", "text": "turn left", "tuples": [["door"]]}])
+        write_jsonl(refs, [{"id": "a", "text": "turn left", "tuples": [["door"]]}])
+        if synonyms == "malformed":
+            syn.write_text('{"sofa": "couch"}', encoding="utf-8")
+        if corpus == "candidate schema":
+            cands.write_text(cands.read_text(encoding="utf-8") + "{broken\n", encoding="utf-8")
+            code, message = 2, f"{cands}:2: invalid JSON"
+        elif corpus == "reference schema":
+            refs.write_text(refs.read_text(encoding="utf-8") + '{"id": "a"}\n', encoding="utf-8")
+            code, message = 2, f"{refs}:2: 'text' must be a nonempty string"
+        elif corpus == "missing id":
+            write_jsonl(refs, [{"id": "b", "text": "turn left"}])
+            code, message = 1, "candidate ids missing from references: a"
+        elif synonyms == "missing":
+            code, message = 1, f"No such file or directory: '{syn}'"
+        else:
+            code, message = 2, f"{syn}: synonym file must hold a JSON list of lists of strings"
+        out = tmp_path / "report.json"
+        got, _, err = run_cli(capsys, "score", str(cands), str(refs), "--synonyms", str(syn), "--out", str(out))
+        assert (got, err.count("naveval: error:")) == (code, 1)
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("quiet", [False, True], ids=["noted", "quiet"])
+    def test_reference_ids_without_candidate_are_counted(self, capsys, tmp_path, quiet):
+        cands, refs, only_a = tmp_path / "c.jsonl", tmp_path / "r.jsonl", tmp_path / "a.jsonl"
+        write_jsonl(cands, [{"id": "a", "text": "turn left"}])
+        ref_a = {"id": "a", "text": "turn left, then right"}
+        write_jsonl(refs, [{"id": "zzz", "text": "turn left"}, ref_a, {"id": "zzz", "text": "go on"}])
+        write_jsonl(only_a, [ref_a])
+        flags = ["--quiet"] if quiet else []
+        code, out, err = run_cli(capsys, "score", str(cands), str(refs), *flags)
+        assert code == 0
+        assert out == run_cli(capsys, "score", str(cands), str(only_a), "--quiet")[1]
+        if quiet:
+            assert err == ""
+        else:
+            assert err.splitlines()[0] == "ignored 2 reference records whose id no candidate has"
+            assert err.count("ignored") == 1 and "scored 1 records" in err
 
     def test_synonyms_flag_merges_tuple_vocab(self, capsys, tmp_path):
         cands = tmp_path / "c.jsonl"
