@@ -47,7 +47,6 @@ _HOMES = {
     "text": (
         "DirectionTaxonomy",
         "Instruction",
-        "SubInstruction",
         "chunk_instruction",
         "direction_labels",
         "load_taxonomy",

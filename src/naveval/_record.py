@@ -1,6 +1,6 @@
 """The base of naveval's immutable value types.
 
-A subclass names its fields in _fields, lists them (and any private caches)
+A subclass names its fields in _fields, lists them (and any caches)
 in __slots__, and sets them in its own __init__ through _set, because
 assignment to an instance raises AttributeError. Equality, hash and repr
 cover the fields alone, in the form dataclasses would give them.

@@ -187,24 +187,18 @@ class TargetMatrix(Record):
         return target
 
 
-def _sub_span(sub: object) -> tuple[int, int]:
-    span = getattr(sub, "token_span", sub)
-    start, end = span  # type: ignore[misc]
-    return int(start), int(end)
-
-
-def expand_alignment(a: object, sub_instructions: Sequence[object], n_words: int) -> TargetMatrix:
+def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) -> TargetMatrix:
     """Expand a sub-instruction alignment to word level via the chunk spans.
 
-    The spans must partition [0, n_words) in order, one per alignment row.
-    They become a word-to-chunk map, built into the target by
-    target_from_word_map.
+    The (start, end) token spans, as chunk_instruction gives them, must
+    partition [0, n_words) in order, one per alignment row. They become a
+    word-to-chunk map, built into the target by target_from_word_map.
     """
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
     owner = [-1] * n_words
-    for k, sub in enumerate(sub_instructions):
-        start, end = _sub_span(sub)
+    for k, (start, end) in enumerate(spans):
+        start, end = int(start), int(end)
         if not (0 <= start < end <= n_words):
             raise ValueError(f"sub-instruction span ({start}, {end}) out of range for {n_words} words")
         if owner[start:end].count(-1) != end - start:

@@ -415,7 +415,7 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
     path = data_dir() / "verbs.txt"
     try:
         verbs = load_verb_lexicon(path)
-        chunks = chunk_instruction(instruction, verbs)
+        spans = chunk_instruction(instruction, verbs)
     except FileNotFoundError as exc:
         raise InputError(f"verb lexicon not found: {exc}") from None
     except OSError as exc:
@@ -424,7 +424,7 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
         raise _not_utf8(path, exc) from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    lines = [span_text(instruction, c.token_span) for c in chunks]
+    lines = [span_text(instruction, span) for span in spans]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

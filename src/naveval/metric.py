@@ -26,7 +26,7 @@ def normalize_tuples(raw: Iterable[Sequence[str]]) -> frozenset[SemanticTuple]:
 
 def _tuple_set(raw: Iterable[Sequence[str]], synonyms: SynonymMap | None = None, spell=repr) -> frozenset[SemanticTuple]:
     # normalize_tuples with each word canonicalized by the synonyms in the same
-    # pass; spell names an entry that is not a sequence in the error message.
+    # pass; spell names a bad entry or element in the error message.
     get = {}.get if synonyms is None else synonyms._mapping.get
     out: set[SemanticTuple] = set()
     for item in raw:
@@ -38,7 +38,7 @@ def _tuple_set(raw: Iterable[Sequence[str]], synonyms: SynonymMap | None = None,
         words = []
         for e in item:
             if not isinstance(e, str) or not (word := e.strip()):
-                raise ValueError(f"semantic tuple elements must be nonempty strings, got {e!r}")
+                raise ValueError(f"semantic tuple elements must be nonempty strings, got {spell(e)}")
             word = word.lower()
             words.append(get(word, word))
         out.add(tuple(words))
@@ -71,9 +71,6 @@ class SynonymMap:
         ):
             raise ValueError("synonym file must hold a JSON list of lists of strings")
         return cls(doc)
-
-    def canonical(self, word: str) -> str:
-        return self._mapping.get(word, word)
 
     def canonical_set(self, tuples: frozenset[SemanticTuple]) -> frozenset[SemanticTuple]:
         get = self._mapping.get

@@ -16,8 +16,6 @@ _SEPARATORS = '.,;:!?"'
 # Tokens that open a new sub-instruction chunk.
 BOUNDARY_TOKENS = frozenset({"and", "then"})
 
-BUILTIN_TAXONOMIES = ("r2r", "urban")
-
 
 def data_dir() -> Path:
     """Root of the bundled data files. The NAVEVAL_DATA_DIR env var overrides it."""
@@ -107,7 +105,7 @@ class DirectionTaxonomy(Record):
     """
 
     _fields = ("name", "classes")
-    __slots__ = _fields + ("_matcher", "_label_set")
+    __slots__ = _fields + ("_matcher", "label_set")
 
     def __init__(self, name: str, classes: tuple[tuple[str, tuple[str, ...]], ...]) -> None:
         _set(self, "name", name)
@@ -137,11 +135,7 @@ class DirectionTaxonomy(Record):
         for options in matcher.values():
             options.sort(key=lambda option: (-len(option[0]), option[0]))
         _set(self, "_matcher", matcher)
-        _set(self, "_label_set", frozenset(seen))
-
-    @property
-    def label_set(self) -> frozenset[str]:
-        return self._label_set  # type: ignore[attr-defined]
+        _set(self, "label_set", frozenset(seen))
 
     @classmethod
     def from_mapping(cls, obj: object) -> "DirectionTaxonomy":
@@ -223,16 +217,6 @@ def direction_labels(instruction: Instruction, taxonomy: DirectionTaxonomy) -> l
     return _labels(instruction.tokens, taxonomy)
 
 
-class SubInstruction(Record):
-    """A contiguous token span forming one action chunk; index is its 1-based ordinal."""
-
-    __slots__ = _fields = ("token_span", "index")
-
-    def __init__(self, token_span: tuple[int, int], index: int) -> None:
-        _set(self, "token_span", token_span)
-        _set(self, "index", index)
-
-
 def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
     """Read the action-verb lexicon: one lowercase verb per line, '#' comments allowed."""
     p = Path(path) if path is not None else data_dir() / "verbs.txt"
@@ -245,20 +229,19 @@ def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(verbs)
 
 
-def chunk_instruction(
-    instruction: Instruction, verbs: Iterable[str] | None = None
-) -> list[SubInstruction]:
-    """Split an instruction into sub-instruction token spans.
+def chunk_instruction(instruction: Instruction, verbs: Iterable[str]) -> list[tuple[int, int]]:
+    """Split an instruction into sub-instructions, as (start, end) token spans.
 
     A new chunk opens before "and", before "then", and before any token that
     follows a comma or period in the raw text. Chunks that contain no verb
-    from the lexicon are merged into the chunk before them; the first chunk is
-    always kept. The returned spans partition the full token range in order.
+    from the lexicon (load_verb_lexicon() gives the bundled one) are merged
+    into the chunk before them; the first chunk is always kept. The spans
+    partition the full token range in order.
     """
     tokens, spans, raw = instruction.tokens, instruction.spans, instruction.raw
     if not tokens:
         raise ValueError("cannot chunk an instruction with no tokens")
-    verb_set = frozenset(verbs) if verbs is not None else load_verb_lexicon()
+    verb_set = frozenset(verbs)
 
     cuts = []  # where each chunk after the first opens, then the end
     for i in range(1, len(tokens)):
@@ -274,7 +257,7 @@ def chunk_instruction(
             merged[-1] = (merged[-1][0], end)
         else:
             merged.append((start, end))
-    return [SubInstruction(span, i) for i, span in enumerate(merged, 1)]
+    return merged
 
 
 def span_text(instruction: Instruction, span: tuple[int, int]) -> str:

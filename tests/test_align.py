@@ -16,7 +16,6 @@ from naveval.align import (
     total_loss,
     validate_alignment_matrix,
 )
-from naveval.text import SubInstruction
 
 
 def brute_force_min_cost(cost):
@@ -225,17 +224,19 @@ class TestValidateAlignmentMatrix:
 class TestExpandAlignment:
     def test_rows_copied_per_word(self):
         a = np.array([[1, 1, 0], [0, 0, 1]])
-        subs = [SubInstruction(token_span=(0, 2), index=1), SubInstruction(token_span=(2, 5), index=2)]
-        target = expand_alignment(a, subs, n_words=5)
+        target = expand_alignment(a, [(0, 2), (2, 5)], n_words=5)
         assert target.word_to_sub == (0, 0, 1, 1, 1)
         np.testing.assert_array_equal(
             target.a_prime, [[1, 1, 0], [1, 1, 0], [0, 0, 1], [0, 0, 1], [0, 0, 1]]
         )
 
     def test_plain_span_pairs_accepted(self):
+        """Numpy-integer bounds behave as ints."""
         a = np.array([[1, 0], [0, 1]])
-        target = expand_alignment(a, [(0, 1), (1, 3)], n_words=3)
-        assert target.word_to_sub == (0, 1, 1)
+        for spans in ([(0, 1), (1, 3)], np.array([[0, 1], [1, 3]]), [(np.int64(0), np.int32(1)), (1, np.int64(3))]):
+            target = expand_alignment(a, spans, n_words=3)
+            assert target.word_to_sub == (0, 1, 1)
+            assert all(type(k) is int for k in target.word_to_sub)
 
     def test_uncovered_word_rejected(self):
         a = np.array([[1, 0], [0, 1]])

@@ -181,6 +181,50 @@ class TestScore:
         assert out == ""
         assert f"{cands}:1: each semantic tuple must be a sequence of strings, not {shown}" in err
 
+    @pytest.mark.parametrize(
+        "element, shown",
+        [(None, "null"), (" ", '" "'), (5, "5"), (True, "true")],
+        ids=["null", "blank", "number", "boolean"],
+    )
+    def test_tuple_element_spelled_as_in_file(self, capsys, tmp_path, element, shown):
+        cands = tmp_path / "c.jsonl"
+        write_jsonl(cands, [{"id": "a", "text": "turn left", "tuples": [["door", element]]}])
+        refs = tmp_path / "r.jsonl"
+        write_jsonl(refs, [{"id": "a", "text": "turn left", "tuples": [["door"]]}])
+        code, out, err = run_cli(capsys, "score", str(cands), str(refs))
+        assert (code, out) == (2, "")
+        assert err == f"naveval: error: {cands}:1: semantic tuple elements must be nonempty strings, got {shown}\n"
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([1], "record must be a JSON object"),
+            ({"id": 5, "text": "turn left"}, "'id' must be a nonempty string"),
+            ({"id": "", "text": "turn left"}, "'id' must be a nonempty string"),
+            ({"id": "b", "text": "turn left", "tuples": "door"}, "'tuples' must be a list of string lists"),
+            ({"id": "b", "text": "turn left", "directions": "left"}, "'directions' must be a list of nonempty strings"),
+            ({"id": "b", "text": "turn left", "directions": ["left", ""]}, "'directions' must be a list of nonempty strings"),
+        ],
+        ids=["not-object", "id-number", "id-empty", "tuples-string", "directions-string", "directions-empty-label"],
+    )
+    def test_record_schema_error(self, capsys, tmp_path, record, message):
+        cands = tmp_path / "c.jsonl"
+        write_jsonl(cands, [{"id": "a", "text": "turn left"}, record])
+        refs = tmp_path / "r.jsonl"
+        write_jsonl(refs, [{"id": "a", "text": "turn left"}, {"id": "b", "text": "turn left"}])
+        code, out, err = run_cli(capsys, "score", str(cands), str(refs))
+        assert (code, out) == (2, "")
+        assert err == f"naveval: error: {cands}:2: {message}\n"
+
+    def test_empty_candidates_file(self, capsys, tmp_path):
+        cands = tmp_path / "c.jsonl"
+        cands.write_text("\n  \n", encoding="utf-8")
+        refs = tmp_path / "r.jsonl"
+        write_jsonl(refs, [{"id": "a", "text": "turn left"}])
+        code, out, err = run_cli(capsys, "score", str(cands), str(refs))
+        assert (code, out) == (1, "")
+        assert err == f"naveval: error: {cands}: no candidate records\n"
+
     def test_duplicate_candidate_id(self, capsys, tmp_path):
         cands = tmp_path / "c.jsonl"
         write_jsonl(cands, [{"id": "a", "text": "turn left"}, {"id": "a", "text": "turn right"}])
@@ -401,6 +445,18 @@ class TestAlign:
         assert code == 2
         assert "words" in err
 
+    def test_feature_document_not_an_object(self, capsys, tmp_path):
+        path = self.write_features(tmp_path, [FEATURES])
+        code, out, err = run_cli(capsys, "align", path)
+        assert (code, out) == (2, "")
+        assert err == f"naveval: error: {path}: feature document must be a JSON object\n"
+
+    def test_word_map_not_a_list(self, capsys, tmp_path):
+        path = self.write_features(tmp_path, dict(FEATURES, word_to_sub={"0": 0}))
+        code, out, err = run_cli(capsys, "align", path)
+        assert (code, out) == (2, "")
+        assert err == f"naveval: error: {path}: 'word_to_sub' must be a list of integers\n"
+
     def test_word_map_length_mismatch(self, capsys, tmp_path):
         doc = dict(FEATURES, word_to_sub=[0, 1])
         path = self.write_features(tmp_path, doc)
@@ -552,6 +608,22 @@ class TestCorrelate:
         path = self.write_table(tmp_path, "name,m,human\nq1,1,1\n")
         code, _, err = run_cli(capsys, "correlate", path)
         assert code == 2
+
+    def test_empty_table(self, capsys, tmp_path):
+        path = self.write_table(tmp_path, "")
+        code, out, err = run_cli(capsys, "correlate", path)
+        assert (code, out) == (2, "")
+        assert err == f"naveval: error: {path}: empty table\n"
+
+    def test_negative_min_directions(self, capsys, tmp_path):
+        path = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\n")
+        instructions = tmp_path / "instr.jsonl"
+        write_jsonl(instructions, [{"id": "q1", "text": "turn left"}, {"id": "q2", "text": "turn right"}])
+        code, out, err = run_cli(
+            capsys, "correlate", path, "--min-directions", "-1", "--instructions", str(instructions)
+        )
+        assert (code, out) == (1, "")
+        assert err == "naveval: error: --min-directions must be nonnegative\n"
 
     def test_min_directions_requires_instructions(self, capsys, tmp_path):
         path = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\n")
@@ -1125,7 +1197,6 @@ def test_public_names_resolve_on_first_access():
         "pearson",
         "DirectionTaxonomy",
         "Instruction",
-        "SubInstruction",
         "chunk_instruction",
         "direction_labels",
         "load_taxonomy",

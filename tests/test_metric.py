@@ -65,9 +65,8 @@ class TestNormalizeTuples:
 class TestSynonymMap:
     def test_first_member_is_representative(self):
         syn = SynonymMap([["sofa", "couch"], ["fridge", "refrigerator"]])
-        assert syn.canonical("couch") == "sofa"
-        assert syn.canonical("sofa") == "sofa"
-        assert syn.canonical("door") == "door"
+        tuples = frozenset({("couch",), ("sofa", "red"), ("door", "near", "refrigerator")})
+        assert syn.canonical_set(tuples) == {("sofa",), ("sofa", "red"), ("door", "near", "fridge")}
 
     def test_conflicting_membership_rejected(self):
         with pytest.raises(ValueError, match="more than one"):
@@ -76,7 +75,7 @@ class TestSynonymMap:
     def test_load(self, tmp_path):
         p = tmp_path / "syn.json"
         p.write_text('[["sofa", "couch"]]')
-        assert SynonymMap.load(p).canonical("couch") == "sofa"
+        assert SynonymMap.load(p).canonical_set(frozenset({("couch",)})) == {("sofa",)}
         bad = tmp_path / "bad.json"
         # Not a list of lists, a JSON number, a non-string member, an empty group.
         for doc in ('{"sofa": "couch"}', "5", '[["sofa", 1]]', "[[]]"):

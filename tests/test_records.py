@@ -13,7 +13,7 @@ from naveval.align import TargetMatrix
 from naveval.knowledge import KnowledgeFact
 from naveval.metric import ScoreReport, ScoringInput
 from naveval.stats import CorrelationReport, MetricCorrelation
-from naveval.text import DirectionTaxonomy, Instruction, SubInstruction
+from naveval.text import DirectionTaxonomy, Instruction
 
 REPORT = dict(
     spice=0.5,
@@ -66,13 +66,6 @@ CASES = [
         dict(name="u"),
         "DirectionTaxonomy(name='t', classes=(('left', ('left', 'turn left')),))",
         dict(name="t", classes=(("left", ("left",)), ("right", ("left",)))),
-    ),
-    (
-        SubInstruction,
-        dict(token_span=(0, 2), index=1),
-        dict(index=2),
-        "SubInstruction(token_span=(0, 2), index=1)",
-        None,
     ),
     (
         ScoreReport,
@@ -142,4 +135,6 @@ def test_taxonomy_caches_stay_out_of_equality_and_repr():
     b = DirectionTaxonomy(name="t", classes=classes)
     assert a == b and hash(a) == hash(b)
     assert a.label_set == frozenset({"left", "right"})
-    assert "_matcher" not in repr(a) and "_label_set" not in repr(a)
+    assert "_matcher" not in repr(a) and "label_set" not in repr(a)
+    with pytest.raises(AttributeError):
+        a.label_set = frozenset()

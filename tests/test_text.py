@@ -306,7 +306,7 @@ class TestChunkInstruction:
     def test_boundary_after_comma(self):
         ins = tokenize("go down the stairs, then stop at the door")
         chunks = chunk_instruction(ins, VERBS)
-        assert [span_text(ins, c.token_span) for c in chunks] == [
+        assert [span_text(ins, span) for span in chunks] == [
             "go down the stairs",
             "then stop at the door",
         ]
@@ -314,12 +314,12 @@ class TestChunkInstruction:
     def test_boundary_at_token_one(self):
         ins = tokenize("stop then turn left")
         chunks = chunk_instruction(ins, VERBS)
-        assert [span_text(ins, c.token_span) for c in chunks] == ["stop", "then turn left"]
+        assert [span_text(ins, span) for span in chunks] == ["stop", "then turn left"]
 
     def test_boundary_on_and(self):
         ins = tokenize("Walk out of the bathroom and go into the living room")
         chunks = chunk_instruction(ins, VERBS)
-        assert [span_text(ins, c.token_span) for c in chunks] == [
+        assert [span_text(ins, span) for span in chunks] == [
             "walk out of the bathroom",
             "and go into the living room",
         ]
@@ -327,17 +327,17 @@ class TestChunkInstruction:
     def test_verbless_chunk_merges_backward(self):
         ins = tokenize("turn left and quickly")
         chunks = chunk_instruction(ins, VERBS)
-        assert [span_text(ins, c.token_span) for c in chunks] == ["turn left and quickly"]
+        assert [span_text(ins, span) for span in chunks] == ["turn left and quickly"]
 
     def test_first_chunk_kept_even_without_verb(self):
         ins = tokenize("quickly now, then turn left")
         chunks = chunk_instruction(ins, VERBS)
-        assert [span_text(ins, c.token_span) for c in chunks] == ["quickly now", "then turn left"]
+        assert [span_text(ins, span) for span in chunks] == ["quickly now", "then turn left"]
 
     def test_single_token(self):
         ins = tokenize("stop")
         chunks = chunk_instruction(ins, VERBS)
-        assert len(chunks) == 1 and chunks[0].token_span == (0, 1) and chunks[0].index == 1
+        assert chunks == [(0, 1)]
 
     def test_empty_instruction_rejected(self):
         with pytest.raises(ValueError, match="no tokens"):
@@ -359,19 +359,20 @@ class TestChunkInstruction:
             verbs = frozenset(w for w in vocab if rng.random() < 0.4)
             chunks = chunk_instruction(ins, verbs)
             pos = 0
-            for k, chunk in enumerate(chunks, 1):
-                assert chunk.index == k
-                assert chunk.token_span[0] == pos
-                assert chunk.token_span[0] < chunk.token_span[1]
-                pos = chunk.token_span[1]
+            for start, end in chunks:
+                assert start == pos
+                assert start < end
+                pos = end
             assert pos == len(ins.tokens)
             # Every chunk after the first must carry a verb from the lexicon.
-            for chunk in chunks[1:]:
-                assert any(t in verbs for t in ins.tokens[chunk.token_span[0] : chunk.token_span[1]])
+            for start, end in chunks[1:]:
+                assert any(t in verbs for t in ins.tokens[start:end])
 
-    def test_bundled_lexicon_used_by_default(self):
+    def test_bundled_lexicon_passed_explicitly(self):
         ins = tokenize("walk ahead and stop")
-        assert len(chunk_instruction(ins)) == 2
+        assert chunk_instruction(ins, load_verb_lexicon()) == [(0, 2), (2, 4)]
+        with pytest.raises(TypeError):
+            chunk_instruction(ins)
 
 
 class TestVerbLexicon:
