@@ -198,6 +198,9 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
         raise ValueError("n_words must be >= 1")
     owner = [-1] * n_words
     for k, (start, end) in enumerate(spans):
+        for name, bound in (("start", start), ("end", end)):
+            if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)):
+                raise ValueError(f"spans[{k}] {name} must be an integer, got {bound!r}")
         start, end = int(start), int(end)
         if not (0 <= start < end <= n_words):
             raise ValueError(f"sub-instruction span ({start}, {end}) out of range for {n_words} words")

@@ -125,7 +125,7 @@ def _write_atomic(path: Path, text: str) -> None:
     import tempfile
 
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent or Path("."))
+    fd, tmp_name = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -143,24 +143,26 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _stdout_error(exc: OSError) -> InputError:
-    return InputError(f"cannot write to stdout: {exc.strerror or exc}")
-
-
 def _emit(text: str, out: str | None) -> None:
+    """Write one output to --out or to stdout; one that cannot be written is exit 1.
+
+    This is the only writer of stdout. It flushes each output, so an exit
+    finds nothing left to write.
+    """
     if out:
         try:
             _write_atomic(Path(out), text)
         except OSError as exc:
             raise InputError(f"cannot write {out!r}: {exc.strerror or exc}") from None
-    elif sys.stdout is None:
-        # The process was started with stdout closed.
-        raise _stdout_error(OSError(errno.EBADF, os.strerror(errno.EBADF)))
-    else:
-        try:
-            sys.stdout.write(text)
-        except OSError as exc:
-            raise _stdout_error(exc) from None
+        return
+    try:
+        if sys.stdout is None:
+            # The process was started with stdout closed.
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        raise InputError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
 
 def _emit_json(doc: object, out: str | None) -> None:
@@ -186,17 +188,17 @@ def _note(args: argparse.Namespace, message: str) -> None:
         _to_stderr(message)
 
 
-def _taxonomy_from_args(args: argparse.Namespace) -> DirectionTaxonomy:
+def _load_taxonomy(name: str) -> DirectionTaxonomy:
     from .text import _taxonomy_path, load_taxonomy
 
     try:
-        return load_taxonomy(args.taxonomy)
+        return load_taxonomy(name)
     except OSError as exc:
-        raise InputError(f"taxonomy {args.taxonomy!r} cannot be read: {exc}") from None
+        raise InputError(f"taxonomy {name!r} cannot be read: {exc}") from None
     except UnicodeDecodeError as exc:
-        raise _not_utf8(_taxonomy_path(args.taxonomy), exc) from None
+        raise _not_utf8(_taxonomy_path(name), exc) from None
     except ValueError as exc:
-        raise SchemaError(f"taxonomy {args.taxonomy!r}: {exc}") from None
+        raise SchemaError(f"taxonomy {name!r}: {exc}") from None
 
 
 def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
@@ -289,7 +291,7 @@ def _score_report_text(
 def _cmd_score(args: argparse.Namespace) -> int:
     from .metric import _score
 
-    taxonomy = _taxonomy_from_args(args)
+    taxonomy = _load_taxonomy(args.taxonomy)
     # The synonyms canonicalize each record as it is loaded, but a synonyms
     # file that cannot be used is reported after every corpus error.
     try:
@@ -402,7 +404,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 def _cmd_directions(args: argparse.Namespace) -> int:
     from .text import _labels, _words
 
-    taxonomy = _taxonomy_from_args(args)
+    taxonomy = _load_taxonomy(args.taxonomy)
     labels = _labels(_words(args.text), taxonomy)
     _emit(" ".join(labels) + "\n", args.out)
     return 0
@@ -479,14 +481,17 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
     ids, columns, human = _read_score_table(Path(args.table))
 
-    if args.instructions and args.min_directions is None:
-        raise InputError("--instructions requires --min-directions with the minimum label count")
-    if args.min_directions is not None:
+    if args.min_directions is None:
+        if args.instructions:
+            raise InputError("--instructions requires --min-directions with the minimum label count")
+        if args.taxonomy is not None:
+            raise InputError("--taxonomy requires --min-directions with the minimum label count")
+    else:
         if args.min_directions < 0:
             raise InputError("--min-directions must be nonnegative")
         if not args.instructions:
             raise InputError("--min-directions requires --instructions with the instruction texts")
-        taxonomy = _taxonomy_from_args(args)
+        taxonomy = _load_taxonomy(DEFAULT_TAXONOMY if args.taxonomy is None else args.taxonomy)
         records = _load_jsonl(Path(args.instructions), taxonomy)
         instructions = _by_unique_id(records, args.instructions, "instruction")
         unknown = [rid for rid in ids if rid not in instructions]
@@ -543,27 +548,23 @@ def _cmd_kb(args: argparse.Namespace) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose help goes to stdout as every other output does.
+    """An ArgumentParser whose help is written by _emit, as every other output is.
 
     argparse writes the help to stderr when stdout is closed, and ignores a
-    write that fails; here either is exit 1 with the stdout error.
+    write that fails; here either is exit 1 with the stdout error. argparse
+    calls print_help only for -h, with no file.
     """
 
     def print_help(self, file=None) -> None:
-        if file is not None:
-            super().print_help(file)
-            return
         _emit(self.format_help(), None)
-        try:
-            sys.stdout.flush()  # argparse raises SystemExit next, which skips run()'s flush
-        except OSError as exc:
-            raise _stdout_error(exc) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="write output to this file atomically instead of stdout")
-    output.add_argument("--quiet", action="store_true", help="suppress informational stderr messages")
+    # Only the subcommands that write notes take --quiet.
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress informational stderr messages")
     taxonomy = argparse.ArgumentParser(add_help=False)
     taxonomy.add_argument(
         "--taxonomy",
@@ -574,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="naveval", description="Navigation-instruction evaluation toolkit.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_score = sub.add_parser("score", parents=[taxonomy, output], help="score a JSONL corpus against references")
+    p_score = sub.add_parser("score", parents=[taxonomy, output, quiet], help="score a JSONL corpus against references")
     p_score.add_argument("candidates", help="candidate records, one JSON object per line")
     p_score.add_argument("references", help="reference records; repeat an id for multiple references")
     p_score.add_argument("--synonyms", default=None, help="JSON file of synonym groups")
@@ -600,8 +601,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_chunk = sub.add_parser("chunk", parents=[output], help="print sub-instruction chunks, one per line")
     p_chunk.add_argument("--text", required=True)
 
-    p_corr = sub.add_parser("correlate", parents=[taxonomy, output], help="correlate metric columns with human scores")
+    p_corr = sub.add_parser("correlate", parents=[output, quiet], help="correlate metric columns with human scores")
     p_corr.add_argument("table", help="CSV with columns: id, <metrics...>, human")
+    # No default here, so that a --taxonomy no filter reads is an error.
+    p_corr.add_argument(
+        "--taxonomy",
+        help=f"direction taxonomy of --min-directions (default {DEFAULT_TAXONOMY}): a bundled name or a JSON file path",
+    )
     p_corr.add_argument("--min-directions", type=int, default=None, help="keep only rows whose instruction has at least this many direction labels")
     p_corr.add_argument("--instructions", default=None, help="JSONL instruction records, required by --min-directions")
 
@@ -641,27 +647,11 @@ def run() -> None:
 
     OpenBLAS gets one thread unless one of _BLAS_THREAD_VARS is set: one
     document never needs a second, and starting it costs a short call more
-    than it saves. After main() the output is flushed and the process ends
-    with os._exit, which skips interpreter teardown. An exception that escapes
-    main(), argparse's SystemExit among them, takes the normal exit path.
+    than it saves. The process then ends with os._exit, skipping interpreter
+    teardown: _emit has flushed each output, and stderr passes on each whole
+    line as it is written. An exception that escapes main(), argparse's
+    SystemExit among them, takes the normal exit path.
     """
     if not any(name in os.environ for name in _BLAS_THREAD_VARS):
         os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    code = main()
-    # A stream is None when the process was started with its descriptor closed.
-    if sys.stdout is not None:
-        try:
-            sys.stdout.flush()
-        except OSError as exc:
-            # A nonzero code was reported already, and nothing but the rest of
-            # a write that failed in _emit can be left in stdout's buffer then.
-            if code == 0:
-                error = _stdout_error(exc)
-                _to_stderr(f"naveval: error: {error}")
-                code = error.exit_code
-    if sys.stderr is not None:
-        try:
-            sys.stderr.flush()
-        except OSError:
-            pass
-    os._exit(code)
+    os._exit(main())

@@ -13,6 +13,11 @@ def mini_corpus_dir() -> Path:
 
 
 @pytest.fixture(scope="session")
+def test_data_dir() -> Path:
+    return TESTS_DIR / "data"
+
+
+@pytest.fixture(scope="session")
 def kb_fixture_path() -> Path:
     return TESTS_DIR / "data" / "kb_fixture.tsv"
 

@@ -266,3 +266,28 @@ def test_criterion_9_mean_synonyms_report(tmp_path, capsys, mini_corpus_dir, gol
         assert main(argv) == 0
         capsys.readouterr()
         assert out.read_bytes() == golden_mean_synonyms_report_path.read_bytes()
+
+
+# Run from tests/data. Word logits of 1000 make align's attention exactly
+# one-hot, and an eps of 0.5 keeps every log at 1, 2 or 0.5, so the losses
+# have the same bits under any math library.
+GOLDEN_RUNS = {
+    "golden_align_report.json": ["align", "align_features.json", "--ce", "0.25", "--eps", "0.5"],
+    "golden_correlate_report.json": [
+        "correlate",
+        "correlate_table.csv",
+        "--min-directions",
+        "1",
+        "--instructions",
+        "correlate_instructions.jsonl",
+        "--quiet",
+    ],
+}
+
+
+def test_criterion_9_align_and_correlate_reports(capsys, monkeypatch, test_data_dir):
+    with criterion(9, "align and correlate reports are byte-identical to their golden files"):
+        monkeypatch.chdir(test_data_dir)
+        for golden, argv in GOLDEN_RUNS.items():
+            assert main(argv) == 0
+            assert capsys.readouterr().out.encode() == (test_data_dir / golden).read_bytes(), golden

@@ -238,6 +238,23 @@ class TestExpandAlignment:
             assert target.word_to_sub == (0, 1, 1)
             assert all(type(k) is int for k in target.word_to_sub)
 
+    @pytest.mark.parametrize(
+        "spans, message",
+        [
+            ([(0, 1.9), (1.2, 3)], "spans[0] end must be an integer, got 1.9"),
+            ([(0, 1), (1.0, 3)], "spans[1] start must be an integer, got 1.0"),
+            ([(False, True), (True, 3)], "spans[0] start must be an integer, got False"),
+            ([(0, 1), (1, np.float64(3))], f"spans[1] end must be an integer, got {np.float64(3)!r}"),
+        ],
+        ids=["floats", "integral-float", "bools", "numpy-float"],
+    )
+    def test_bounds_that_are_not_integers_rejected(self, spans, message):
+        """Bounds are not truncated: the word map is held to the same rule."""
+        a = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment(a, spans, n_words=3)
+        assert str(excinfo.value) == message
+
     def test_uncovered_word_rejected(self):
         a = np.array([[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="not covered"):

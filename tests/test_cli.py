@@ -361,7 +361,7 @@ class TestAlign:
 
     def test_worked_alignment_and_losses(self, capsys, tmp_path):
         path = self.write_features(tmp_path, FEATURES)
-        code, out, _ = run_cli(capsys, "align", path, "--ce", "0.25", "--quiet")
+        code, out, _ = run_cli(capsys, "align", path, "--ce", "0.25")
         assert code == 0
         doc = json.loads(out)
         assert doc["A"] == [[1, 1, 0], [0, 0, 1]]
@@ -389,7 +389,7 @@ class TestAlign:
     def test_loss_weights_scale_total(self, capsys, tmp_path):
         path = self.write_features(tmp_path, FEATURES)
         code, out, _ = run_cli(
-            capsys, "align", path, "--quiet", "--lambda1", "0.5", "--lambda2", "0"
+            capsys, "align", path, "--lambda1", "0.5", "--lambda2", "0"
         )
         assert code == 0
         doc = json.loads(out)
@@ -408,7 +408,7 @@ class TestAlign:
 
         monkeypatch.setattr(naveval.align, "_as_binary", counting)
         path = self.write_features(tmp_path, FEATURES)
-        code, _, _ = run_cli(capsys, "align", path, "--quiet")
+        code, _, _ = run_cli(capsys, "align", path)
         assert code == 0
         assert calls == ["alignment matrix"]
 
@@ -420,7 +420,7 @@ class TestAlign:
             "word_to_sub": [0],
         }
         path = self.write_features(tmp_path, doc)
-        code, out, _ = run_cli(capsys, "align", path, "--quiet")
+        code, out, _ = run_cli(capsys, "align", path)
         assert code == 0
         assert json.loads(out)["A"] == [[1, 1]]
 
@@ -719,6 +719,28 @@ class TestCorrelate:
         assert out == ""
         assert "--instructions requires --min-directions" in err
 
+    def test_taxonomy_requires_min_directions(self, capsys, tmp_path):
+        table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\n")
+        code, out, err = run_cli(capsys, "correlate", table, "--taxonomy", str(tmp_path / "missing.json"))
+        assert (code, out) == (1, "")
+        assert err == "naveval: error: --taxonomy requires --min-directions with the minimum label count\n"
+
+    @pytest.mark.parametrize(
+        "taxonomy, code, err",
+        [
+            ([], 1, "direction filter kept 0 rows, removed 4\nnaveval: error: need at least two complete rows, got 0\n"),
+            (["--taxonomy", "urban"], 0, "direction filter kept 3 rows, removed 1\n"),
+        ],
+        ids=["r2r-by-default", "urban"],
+    )
+    def test_min_directions_counts_labels_of_the_given_taxonomy(self, capsys, tmp_path, taxonomy, code, err):
+        table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,3\nq3,3,2\nq4,4,4\n")
+        instructions = tmp_path / "instr.jsonl"
+        texts = ["head toward two o'clock"] * 3 + ["walk on"]
+        write_jsonl(instructions, [{"id": f"q{i}", "text": t} for i, t in enumerate(texts, 1)])
+        argv = ["correlate", table, "--min-directions", "1", "--instructions", str(instructions), *taxonomy]
+        assert run_cli(capsys, *argv)[::2] == (code, err)
+
     def test_duplicate_instruction_id(self, capsys, tmp_path):
         table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\nq3,3,3\n")
         instructions = tmp_path / "instr.jsonl"
@@ -863,11 +885,9 @@ def test_unwritable_out_is_input_error(tmp_path, mini_corpus_dir, target):
         env=env,
         timeout=120,
     )
-    assert proc.returncode == 1
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("naveval: error: ")
-    assert str(out) in proc.stderr
-    assert "Traceback" not in proc.stderr
+    reason = os.strerror(errno.ENOENT if target == "missing-dir" else errno.EISDIR)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == f"naveval: error: cannot write {str(out)!r}: {reason}\n"
     # No temp file is left next to the target.
     assert list(tmp_path.iterdir()) == [out_dir]
     assert list(out_dir.iterdir()) == []
@@ -918,7 +938,7 @@ runs = {
                   "--instructions", str(tmp / "texts.jsonl")],
 }
 for name, argv in runs.items():
-    assert main(argv + ["--quiet", "--out", str(tmp / "out")]) == 0, name
+    assert main(argv + ["--out", str(tmp / "out")]) == 0, name
     assert "numpy" not in sys.modules, name
 
 assert callable(naveval.dtw_align)
@@ -951,7 +971,7 @@ from naveval.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in sys.argv[1:]:
-        assert main(argv.split("|") + ["--quiet"]) == 0, argv
+        assert main(argv.split("|")) == 0, argv
 print(" ".join(sorted(sys.modules)))
 """
 
@@ -1030,14 +1050,15 @@ def _naveval_env(**changes):
     return env
 
 
-# Runs cli.run() with a main() that prints OPENBLAS_NUM_THREADS and returns 3.
-# The atexit hook prints only if the interpreter is torn down.
+# Runs cli.run() with a main() that writes OPENBLAS_NUM_THREADS through _emit,
+# as every subcommand writes its output, and returns 3. The atexit hook prints
+# only if the interpreter is torn down.
 RUN_SCRIPT = """
 import atexit, os, sys
 import naveval.cli
 
 def main():
-    print(os.environ.get("OPENBLAS_NUM_THREADS"))
+    naveval.cli._emit(f"{os.environ.get('OPENBLAS_NUM_THREADS')}\\n", None)
     if sys.argv[1] == "raise":
         raise SystemExit(4)
     return 3
@@ -1071,7 +1092,8 @@ def test_run_defaults_to_one_blas_thread_and_keeps_the_users(user, seen):
 
 @pytest.mark.parametrize("how, code, lines", [("return", 3, ["1"]), ("raise", 4, ["1", "teardown"])])
 def test_run_skips_teardown_unless_main_raises(how, code, lines):
-    # Without PYTHONUNBUFFERED, the output reaches the pipe only if run() flushes it.
+    # Without PYTHONUNBUFFERED, the output reaches the pipe before os._exit
+    # only because _emit flushes it.
     env = _naveval_env(**BLAS_UNSET, PYTHONUNBUFFERED=None)
     proc = subprocess.run([sys.executable, "-c", RUN_SCRIPT, how], capture_output=True, text=True, env=env, timeout=120)
     assert (proc.returncode, proc.stdout.splitlines(), proc.stderr) == (code, lines, "")
@@ -1088,7 +1110,7 @@ def test_closed_stdout_is_a_clean_error(capsys, tmp_path, case):
         argv = ["score", str(cands), str(refs), "--quiet"]
         assert len(run_cli(capsys, *argv)[1].encode()) > io.DEFAULT_BUFFER_SIZE
     else:
-        # A small output stays in stdout's buffer until run() flushes it.
+        # A small output fits in stdout's buffer: the flush in _emit fails.
         argv = ["directions", "--text", "turn left"]
     read_end, write_end = os.pipe()
     os.close(read_end)
@@ -1110,8 +1132,8 @@ def test_closed_stdout_is_a_clean_error(capsys, tmp_path, case):
 def _run_shell(argv, redirects, **kwargs):
     """python -m naveval argv in a shell that applies the redirections.
 
-    The standard streams are buffered, as by default: a write that failed
-    can then stay in a buffer and fail again when run() flushes it.
+    The standard streams are buffered, as by default: what a failed write
+    leaves in a buffer must neither fail again nor print a traceback at exit.
     """
     command = f"{shlex.join([sys.executable, '-m', 'naveval', *argv])} {redirects}"
     return subprocess.run(command, shell=True, env=_naveval_env(PYTHONUNBUFFERED=None), timeout=120, **kwargs)
@@ -1161,6 +1183,82 @@ def test_stdout_closed_at_start_is_a_clean_error():
 def test_help_that_cannot_be_written_is_a_clean_error(argv, redirect, error):
     proc = _run_shell(argv, redirect, capture_output=True, text=True)
     assert (proc.returncode, proc.stderr) == (1, f"naveval: error: cannot write to stdout: {os.strerror(error)}\n")
+
+
+# Each subcommand's whole stdout, and for score its notes on stderr; run from
+# tests/data.
+PIPED_RUNS = {
+    "score": (["score", "MINI/candidates.jsonl", "MINI/references.jsonl"], "golden_score_report.json"),
+    "align": (["align", "align_features.json", "--ce", "0.25", "--eps", "0.5"], "golden_align_report.json"),
+    "directions": (["directions", "--text", "turn left, then go right"], b"left right\n"),
+    "chunk": (
+        ["chunk", "--text", "turn left, walk past the sofa, and stop by the door"],
+        b"turn left\nwalk past the sofa\nand stop by the door\n",
+    ),
+    "correlate": (
+        ["correlate", "correlate_table.csv", "--min-directions", "1", "--instructions", "correlate_instructions.jsonl"],
+        "golden_correlate_report.json",
+    ),
+    "kb-query": (
+        ["kb", "query", "--kb", "kb_fixture.tsv", "--entity", "microwave"],
+        b"microwave\tAtLocation\tkitchen\t6.2\nmicrowave\tRelatedTo\toven\t4.1\nmicrowave\tUsedFor\theating\t3.3\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", PIPED_RUNS)
+def test_each_subcommand_delivers_its_output_to_pipes(capsys, monkeypatch, test_data_dir, mini_corpus_dir, name):
+    # Without PYTHONUNBUFFERED both streams are buffered, and os._exit flushes
+    # neither: stdout arrives because _emit flushes it, and stderr notes
+    # because each is a whole line.
+    argv, expected = PIPED_RUNS[name]
+    argv = [a.replace("MINI", str(mini_corpus_dir)) for a in argv]
+    if isinstance(expected, str):
+        expected = (test_data_dir / expected).read_bytes()
+    monkeypatch.chdir(test_data_dir)
+    _, _, err = run_cli(capsys, *argv)
+    proc = subprocess.run(
+        [sys.executable, "-m", "naveval", *argv],
+        capture_output=True,
+        env=_naveval_env(PYTHONUNBUFFERED=None),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, err.encode())
+    if name == "score":
+        corpus = json.loads(expected)["corpus"]
+        means = f"mean SPICE {corpus['mean_spice']:.4f}, mean SPICE-D {corpus['mean_spice_d']:.4f}"
+        assert err == f"scored {corpus['n_records']} records: {means}\n"
+
+
+def test_only_emit_writes_stdout():
+    """sys.stdout is named only in cli._emit, and every print names its file."""
+    import ast
+
+    import naveval
+
+    found = []
+    for path in sorted(Path(naveval.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        emit = set()
+        if path.name == "cli.py":
+            emit = {id(n) for f in tree.body if getattr(f, "name", None) == "_emit" for n in ast.walk(f)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and node.attr == "stdout"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "sys"
+                and id(node) not in emit
+            ):
+                found.append(f"{path.name}:{node.lineno}: sys.stdout")
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "print"
+                and not any(k.arg == "file" for k in node.keywords)
+            ):
+                found.append(f"{path.name}:{node.lineno}: print without file=")
+    assert found == []
 
 
 def test_public_names_resolve_on_first_access():
@@ -1243,13 +1341,14 @@ class TestParser:
 
         subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
         kb_query = next(a for a in subcommands["kb"]._actions if a.dest == "kb_command").choices["query"]
-        output = {"--out", "--quiet"}
-        assert flags(subcommands["score"]) == output | {"--taxonomy", "--synonyms", "--aggregation"}
-        assert flags(subcommands["align"]) == output | {"--ce", "--lambda1", "--lambda2", "--eps"}
-        assert flags(subcommands["directions"]) == output | {"--taxonomy", "--text"}
-        assert flags(subcommands["chunk"]) == output | {"--text"}
-        assert flags(subcommands["correlate"]) == output | {"--taxonomy", "--min-directions", "--instructions"}
-        assert flags(kb_query) == output | {"--kb", "--entity", "--k"}
+        # --quiet only where notes are written.
+        noted = {"--out", "--quiet"}
+        assert flags(subcommands["score"]) == noted | {"--taxonomy", "--synonyms", "--aggregation"}
+        assert flags(subcommands["align"]) == {"--out", "--ce", "--lambda1", "--lambda2", "--eps"}
+        assert flags(subcommands["directions"]) == {"--out", "--taxonomy", "--text"}
+        assert flags(subcommands["chunk"]) == {"--out", "--text"}
+        assert flags(subcommands["correlate"]) == noted | {"--taxonomy", "--min-directions", "--instructions"}
+        assert flags(kb_query) == {"--out", "--kb", "--entity", "--k"}
 
     @pytest.mark.parametrize(
         "argv",
@@ -1258,8 +1357,22 @@ class TestParser:
             ["score", "c.jsonl", "r.jsonl", "--eps", "5"],
             ["chunk", "--text", "turn left", "--taxonomy", "urban"],
             ["align", "f.json", "--aggregation", "mean"],
+            # --quiet only where notes are written.
+            ["align", "f.json", "--quiet"],
+            ["directions", "--text", "turn left", "--quiet"],
+            ["chunk", "--text", "turn left", "--quiet"],
+            ["kb", "query", "--kb", "f.tsv", "--entity", "sofa", "--quiet"],
         ],
-        ids=["kb-lambda1", "score-eps", "chunk-taxonomy", "align-aggregation"],
+        ids=[
+            "kb-lambda1",
+            "score-eps",
+            "chunk-taxonomy",
+            "align-aggregation",
+            "align-quiet",
+            "directions-quiet",
+            "chunk-quiet",
+            "kb-quiet",
+        ],
     )
     def test_foreign_flag_is_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as excinfo:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from naveval.stats import correlate_metrics, pearson
+from naveval.stats import MetricCorrelation, correlate_metrics, pearson
 
 
 class TestPearson:
@@ -103,6 +103,11 @@ class TestCorrelateMetrics:
         for entry in report.entries:
             assert abs(entry.pearson - 1.0) < 1e-12
             assert entry.n == 4
+
+    def test_two_complete_rows_are_enough(self):
+        report = correlate_metrics({"m": [1.0, None, 3.0]}, [2.0, 5.0, 4.0])
+        assert (report.n_used, report.n_dropped) == (2, 1)
+        assert report.entries == (MetricCorrelation(metric="m", pearson=1.0, n=2),)
 
     def test_fewer_than_two_complete_rows(self):
         with pytest.raises(ValueError, match="at least two"):
