@@ -267,8 +267,9 @@ def attention_coverage_loss(beta: object, a_prime: object, eps: float = DEFAULT_
     log(sum of one-minus-attention over unaligned viewpoints), both sums
     clamped below at eps, averaged over words. The second sum can exceed 1
     when several viewpoints are unaligned, so the value may be negative for
-    sharp attention; it is exactly 0 for one-hot attention on a fully aligned
-    single viewpoint.
+    sharp attention. It is exactly 0 when each word puts all its attention on
+    aligned viewpoints and has exactly one unaligned viewpoint. A word whose
+    viewpoints are all aligned scores -log(eps), 18.42 at the default eps.
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
@@ -278,8 +279,9 @@ def attention_coverage_loss(beta: object, a_prime: object, eps: float = DEFAULT_
     unaligned = ((1.0 - target) * (1.0 - b)).sum(axis=1)
     per_word = np.log(np.maximum(aligned, eps, out=aligned), out=aligned)
     per_word += np.log(np.maximum(unaligned, eps, out=unaligned), out=unaligned)
-    # sum / size is the float64 division numpy's mean does.
-    return -float(per_word.sum() / per_word.size)
+    # sum / size is the float64 division numpy's mean does; 0.0 - x is -x
+    # except that a zero loss stays +0.0.
+    return 0.0 - float(per_word.sum() / per_word.size)
 
 
 def _logsumexp(x: np.ndarray) -> np.ndarray:
@@ -318,7 +320,7 @@ def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float
         raise ValueError(f"target row {np.flatnonzero(~covered)[0]} has no aligned viewpoint")
     per_word = _logsumexp(np.where(target > 0, logits, -np.inf))
     per_word -= _logsumexp(logits)
-    return -float(per_word.sum() / per_word.size)
+    return 0.0 - float(per_word.sum() / per_word.size)
 
 
 def softmax_attention(words: object, panoramas: object) -> np.ndarray:

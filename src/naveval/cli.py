@@ -530,6 +530,8 @@ def _cmd_kb(args: argparse.Namespace) -> int:
     k = DEFAULT_TOP_K if args.k is None else args.k
     try:
         kb = load_kb(Path(args.kb))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(Path(args.kb), exc) from None
     except OSError as exc:
         raise InputError(str(exc)) from None
     except KnowledgeBaseError as exc:

@@ -29,7 +29,7 @@ class KnowledgeFact(Record):
 
 
 class KnowledgeBaseError(ValueError):
-    """Raised for unreadable or malformed knowledge-base files."""
+    """Raised for malformed knowledge-base files."""
 
 
 # A checked fact as the index holds it: (head, relation, tail, weight).
@@ -61,10 +61,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     Blank lines and lines starting with '#' are skipped. All malformed rows
     are reported together, with their line numbers.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise KnowledgeBaseError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+    text = Path(path).read_text(encoding="utf-8")
     rows: list[_Row] = []
     problems: list[str] = []
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -44,17 +44,6 @@ class Instruction(Record):
         _set(self, "tokens", tokens)
         _set(self, "spans", spans)
 
-    @classmethod
-    def _trusted(
-        cls, raw: str, tokens: tuple[str, ...], spans: tuple[tuple[int, int], ...]
-    ) -> "Instruction":
-        # For tokenize, whose output is valid by construction: skips the check.
-        instruction = object.__new__(cls)
-        _set(instruction, "raw", raw)
-        _set(instruction, "tokens", tokens)
-        _set(instruction, "spans", spans)
-        return instruction
-
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -82,7 +71,7 @@ def tokenize(raw: str) -> Instruction:
         start = spaced.index(word, end)
         end = start + len(word)
         spans.append((start, end))
-    return Instruction._trusted(raw, tuple(spaced.lower().split()), tuple(spans))
+    return Instruction(raw, tuple(spaced.lower().split()), tuple(spans))
 
 
 def _words(raw: str) -> tuple[str, ...]:

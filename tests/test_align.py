@@ -303,6 +303,15 @@ class TestAttentionCoverageLoss:
     def test_perfect_one_hot_attention_is_zero(self):
         assert attention_coverage_loss([[1.0, 0.0]], [[1, 0]]) == 0.0
 
+    def test_zero_loss_is_positive_zero(self):
+        loss = attention_coverage_loss([[1.0, 0.0], [0.0, 1.0]], [[1, 0], [0, 1]])
+        assert loss == 0.0
+        assert math.copysign(1.0, loss) == 1.0
+
+    def test_lone_aligned_viewpoint_gives_minus_log_eps(self):
+        assert attention_coverage_loss([[1.0]], [[1]]) == -math.log(1e-8)
+        assert abs(attention_coverage_loss([[1.0]], [[1]]) - 18.42) < 0.005
+
     def test_uniform_attention_two_viewpoints(self):
         loss = attention_coverage_loss([[0.5, 0.5]], [[1, 0]])
         assert abs(loss - 2 * math.log(2)) < 1e-12
@@ -384,6 +393,10 @@ class TestContrastiveLoss:
     def test_fully_aligned_row_is_zero(self):
         loss = contrastive_loss([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]], [[1, 1]])
         assert loss == 0.0
+
+    def test_zero_loss_is_positive_zero(self):
+        loss = contrastive_loss([[1.0, 0.0], [0.0, 1.0]], [[1.0, 1.0]], [[1, 1]])
+        assert math.copysign(1.0, loss) == 1.0
 
     def test_equal_logits_single_aligned_gives_log_n(self):
         panos = [[1.0, 0.0]] * 4

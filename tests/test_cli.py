@@ -376,6 +376,13 @@ class TestAlign:
         assert abs(doc["l_nce"] - l_nce) < 1e-12
         assert abs(doc["total_loss"] - (0.25 + l_att + l_nce)) < 1e-12
 
+    def test_zero_loss_prints_unsigned(self, capsys, tmp_path):
+        doc = {"sub_instructions": [[1, 0]], "panoramas": [[1, 0]], "words": [[1, 0]], "word_to_sub": [0]}
+        code, out, _ = run_cli(capsys, "align", self.write_features(tmp_path, doc))
+        assert code == 0
+        assert '"l_nce": 0.0,' in out
+        assert "-0.0" not in out
+
     @pytest.mark.parametrize("eps", ["nan", "inf", "0", "-1"])
     def test_eps_must_be_positive_and_finite(self, capsys, tmp_path, eps):
         """The message names eps, not the l_att it would have spoiled."""
@@ -787,6 +794,8 @@ class TestUnreadableInputs:
         assert code == expected_code
         assert out == ""
         assert err.startswith("naveval: error: ") and str(named) in err
+        if case == "kb-query":
+            assert err == f"naveval: error: {bad}: not valid UTF-8 (byte 0)\n"
 
     @pytest.mark.parametrize("case", ["taxonomy-path", "taxonomy-name", "synonyms"])
     def test_option_file_not_utf8_is_schema_error(self, capsys, monkeypatch, tmp_path, mini_corpus_dir, case):
@@ -941,8 +950,8 @@ for name, argv in runs.items():
     assert main(argv + ["--out", str(tmp / "out")]) == 0, name
     assert "numpy" not in sys.modules, name
 
-assert callable(naveval.dtw_align)
-from naveval import TargetMatrix
+assert callable(naveval.align.dtw_align)
+from naveval.align import TargetMatrix
 assert TargetMatrix.__module__ == "naveval.align"
 assert "numpy" in sys.modules
 print("ok")
@@ -1261,55 +1270,30 @@ def test_only_emit_writes_stdout():
     assert found == []
 
 
-def test_public_names_resolve_on_first_access():
+def test_package_exposes_only_version_and_submodules():
+    """Each public name has one spelling, naveval.<submodule>.<name>."""
     import naveval
 
-    assert naveval.__all__ == [
-        "__version__",
-        "TargetMatrix",
-        "attention_coverage_loss",
-        "build_cost",
-        "contrastive_loss",
-        "dtw_align",
-        "expand_alignment",
-        "softmax_attention",
-        "target_from_word_map",
-        "total_loss",
-        "validate_alignment_matrix",
-        "KnowledgeBase",
-        "KnowledgeBaseError",
-        "KnowledgeFact",
-        "load_kb",
-        "retrieve_facts",
-        "ScoreReport",
-        "ScoringInput",
-        "SynonymMap",
-        "lcs_length",
-        "normalize_tuples",
-        "score_pair",
-        "spice_d_score",
-        "spice_score",
-        "CorrelationReport",
-        "MetricCorrelation",
-        "correlate_metrics",
-        "pearson",
-        "DirectionTaxonomy",
-        "Instruction",
-        "chunk_instruction",
-        "direction_labels",
-        "load_taxonomy",
-        "load_verb_lexicon",
-        "span_text",
-        "tokenize",
-    ]
-    for name in naveval.__all__[1:]:
-        value = getattr(naveval, name)
-        assert value.__module__.startswith("naveval."), name
-        assert getattr(sys.modules[value.__module__], name) is value
-    for module in ("align", "cli", "knowledge", "metric", "stats", "text"):
-        assert getattr(naveval, module) is sys.modules[f"naveval.{module}"]
+    submodules = ("align", "cli", "knowledge", "metric", "stats", "text")
+    with pytest.raises(AttributeError):
+        naveval.spice_d_score
     with pytest.raises(AttributeError):
         naveval.nothing
+    assert not hasattr(naveval, "__all__")
+    for module in submodules:
+        assert getattr(naveval, module) is sys.modules[f"naveval.{module}"]
+    assert {name for name in vars(naveval) if not name.startswith("_")} == set(submodules)
+
+
+def test_import_naveval_loads_no_submodule():
+    import naveval
+
+    script = "import sys, naveval; print(sorted(m for m in sys.modules if m.startswith('naveval.')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 class TestParser:

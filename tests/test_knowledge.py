@@ -108,7 +108,7 @@ class TestLoadKb:
     def test_undecodable_bytes_rejected(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_bytes(b"sofa\tAtLocation\t\xff\t1.0\n")
-        with pytest.raises(KnowledgeBaseError, match="not valid UTF-8"):
+        with pytest.raises(UnicodeDecodeError):
             load_kb(path)
 
 
