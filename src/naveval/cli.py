@@ -29,15 +29,11 @@ DEFAULT_TAXONOMY = "r2r"
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class CommandError(Exception):
+class InputError(Exception):
     exit_code = 1
 
 
-class InputError(CommandError):
-    exit_code = 1
-
-
-class SchemaError(CommandError):
+class SchemaError(InputError):
     exit_code = 2
 
 
@@ -296,7 +292,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
     # file that cannot be used is reported after every corpus error.
     try:
         synonyms, synonyms_error = _synonyms_from_args(args), None
-    except CommandError as exc:
+    except InputError as exc:
         synonyms, synonyms_error = None, exc
     records = _load_jsonl(Path(args.candidates), taxonomy, synonyms)
     if not records:
@@ -639,7 +635,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except CommandError as exc:
+    except InputError as exc:
         _to_stderr(f"naveval: error: {exc}")
         return exc.exit_code
 

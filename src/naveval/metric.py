@@ -123,36 +123,7 @@ class ScoreReport(Record):
         "n_dir_matches",
         "direction_only",
     )
-
-    def __init__(
-        self,
-        spice: float,
-        spice_d: float,
-        pr_s: float,
-        re_s: float,
-        pr_sd: float,
-        re_sd: float,
-        n_cand_tuples: int,
-        n_ref_tuples: int,
-        n_tuple_matches: int,
-        n_cand_dirs: int,
-        n_ref_dirs: int,
-        n_dir_matches: int,
-        direction_only: bool = False,
-    ) -> None:
-        _set(self, "spice", spice)
-        _set(self, "spice_d", spice_d)
-        _set(self, "pr_s", pr_s)
-        _set(self, "re_s", re_s)
-        _set(self, "pr_sd", pr_sd)
-        _set(self, "re_sd", re_sd)
-        _set(self, "n_cand_tuples", n_cand_tuples)
-        _set(self, "n_ref_tuples", n_ref_tuples)
-        _set(self, "n_tuple_matches", n_tuple_matches)
-        _set(self, "n_cand_dirs", n_cand_dirs)
-        _set(self, "n_ref_dirs", n_ref_dirs)
-        _set(self, "n_dir_matches", n_dir_matches)
-        _set(self, "direction_only", direction_only)
+    _defaults = {"direction_only": False}
 
 
 def spice_d_score(

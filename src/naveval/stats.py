@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from collections.abc import Mapping, Sequence
 
-from ._record import Record, _set
+from ._record import Record
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -36,21 +36,11 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 class MetricCorrelation(Record):
     __slots__ = _fields = ("metric", "pearson", "n")
 
-    def __init__(self, metric: str, pearson: float, n: int) -> None:
-        _set(self, "metric", metric)
-        _set(self, "pearson", pearson)
-        _set(self, "n", n)
-
 
 class CorrelationReport(Record):
     """Per-metric correlations sorted best-first, plus row-deletion bookkeeping."""
 
     __slots__ = _fields = ("entries", "n_used", "n_dropped")
-
-    def __init__(self, entries: tuple[MetricCorrelation, ...], n_used: int, n_dropped: int) -> None:
-        _set(self, "entries", entries)
-        _set(self, "n_used", n_used)
-        _set(self, "n_dropped", n_dropped)
 
 
 def correlate_metrics(

@@ -12,6 +12,8 @@ from ._record import Record, _set
 # The punctuation characters that separate tokens, as whitespace does. A token
 # is a maximal run of characters other than whitespace and these.
 _SEPARATORS = '.,;:!?"'
+# The separators that also end a clause: all but the quotation mark.
+_CLAUSE_MARKS = frozenset(_SEPARATORS) - {'"'}
 
 # Tokens that open a new sub-instruction chunk.
 BOUNDARY_TOKENS = frozenset({"and", "then"})
@@ -222,7 +224,7 @@ def chunk_instruction(instruction: Instruction, verbs: Iterable[str]) -> list[tu
     """Split an instruction into sub-instructions, as (start, end) token spans.
 
     A new chunk opens before "and", before "then", and before any token that
-    follows a comma or period in the raw text. Chunks that contain no verb
+    follows a clause mark (one of .,;:!?) in the raw text. Chunks that contain no verb
     from the lexicon (load_verb_lexicon() gives the bundled one) are merged
     into the chunk before them; the first chunk is always kept. The spans
     partition the full token range in order.
@@ -234,9 +236,8 @@ def chunk_instruction(instruction: Instruction, verbs: Iterable[str]) -> list[tu
 
     cuts = []  # where each chunk after the first opens, then the end
     for i in range(1, len(tokens)):
-        # A comma or period in the raw text between two tokens marks a clause boundary.
         gap = raw[spans[i - 1][1] : spans[i][0]]
-        if tokens[i] in BOUNDARY_TOKENS or "," in gap or "." in gap:
+        if tokens[i] in BOUNDARY_TOKENS or not _CLAUSE_MARKS.isdisjoint(gap):
             cuts.append(i)
     cuts.append(len(tokens))
 

@@ -270,6 +270,18 @@ class TestExpandAlignment:
         with pytest.raises(ValueError, match="sub-instructions"):
             expand_alignment(a, [(0, 3)], n_words=3)
 
+    def test_no_words_rejected(self):
+        a = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment(a, [(0, 1), (1, 2)], 0)
+        assert str(excinfo.value) == "n_words must be >= 1"
+
+    def test_span_past_the_last_word_rejected(self):
+        a = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment(a, [(0, 1), (1, 4)], n_words=3)
+        assert str(excinfo.value) == "sub-instruction span (1, 4) out of range for 3 words"
+
     def test_out_of_order_spans_rejected(self):
         """Spans that partition the words out of order would give a non-monotone target."""
         a = np.array([[1, 0], [0, 1]])
@@ -297,6 +309,17 @@ class TestTargetFromWordMap:
         a = np.array([[1, 1, 0], [0, 0, 1]])
         with pytest.raises(ValueError, match="out of range"):
             target_from_word_map(a, [0, 2])
+
+    @pytest.mark.parametrize(
+        "word_to_sub, message",
+        [([0, 1.0], "word_to_sub[1] must be an integer, got 1.0"), ([], "word_to_sub must be nonempty")],
+        ids=["float", "empty"],
+    )
+    def test_malformed_map_rejected(self, word_to_sub, message):
+        a = np.array([[1, 1, 0], [0, 0, 1]])
+        with pytest.raises(ValueError) as excinfo:
+            target_from_word_map(a, word_to_sub)
+        assert str(excinfo.value) == message
 
 
 class TestAttentionCoverageLoss:
@@ -338,6 +361,16 @@ class TestAttentionCoverageLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             attention_coverage_loss([[1.0, 0.0]], [[1, 0, 0]])
+
+    def test_nan_attention_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            attention_coverage_loss([[math.nan, 1.0]], [[1, 0]])
+        assert str(excinfo.value) == "attention entries must be finite"
+
+    def test_hand_built_target_must_be_2d(self):
+        with pytest.raises(ValueError) as excinfo:
+            TargetMatrix(a_prime=np.array([1, 0]), word_to_sub=(0,))
+        assert str(excinfo.value) == "target matrix must be a nonempty 2-D array"
 
     def test_hand_built_target_checked_at_construction(self):
         with pytest.raises(ValueError, match="target matrix entries must be 0 or 1"):

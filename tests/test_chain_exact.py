@@ -42,7 +42,7 @@ def ref_chunk_spans(tokens, spans, raw, verbs):
     cuts = [0]
     for i in range(1, len(tokens)):
         gap = raw[spans[i - 1][1] : spans[i][0]]
-        if tokens[i] in ("and", "then") or any(ch in ",." for ch in gap):
+        if tokens[i] in ("and", "then") or any(ch in ",.;:!?" for ch in gap):
             cuts.append(i)
     cuts.append(len(tokens))
     chunks = [(cuts[k], cuts[k + 1]) for k in range(len(cuts) - 1)]

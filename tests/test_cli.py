@@ -470,6 +470,22 @@ class TestAlign:
         code, _, err = run_cli(capsys, "align", path)
         assert code == 2
 
+    def test_word_map_index_out_of_range(self, capsys, tmp_path):
+        path = self.write_features(tmp_path, dict(FEATURES, word_to_sub=[0, 0, 2]))
+        code, out, err = run_cli(capsys, "align", path)
+        assert (code, out) == (2, "")
+        assert err == f"naveval: error: {path}: word_to_sub[2] = 2 out of range for 2 sub-instructions\n"
+
+    def test_invalid_json(self, capsys, tmp_path):
+        path = tmp_path / "features.json"
+        path.write_text("{not json", encoding="utf-8")
+        code, out, err = run_cli(capsys, "align", str(path))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"naveval: error: {path}: invalid JSON: "
+            "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+        )
+
 
 class TestDirectionsAndChunk:
     def test_directions_output(self, capsys):
@@ -504,6 +520,15 @@ class TestDirectionsAndChunk:
         )
         assert code == 0
         assert out.splitlines() == ["turn left", "walk past the sofa", "and stop by the door"]
+
+    def test_chunk_opens_a_clause_after_every_clause_mark(self, capsys):
+        """;, :, ! and ? end a clause as , and . do; a quotation mark does not."""
+        code, out, _ = run_cli(capsys, "chunk", "--text", "turn left; walk to the door! stop: wait here")
+        assert code == 0
+        assert out.splitlines() == ["turn left", "walk to the door", "stop", "wait here"]
+        code, out, _ = run_cli(capsys, "chunk", "--text", 'turn left? walk to the door "stop" wait here')
+        assert code == 0
+        assert out.splitlines() == ["turn left", "walk to the door stop wait here"]
 
     def test_chunk_empty_text(self, capsys):
         code, _, err = run_cli(capsys, "chunk", "--text", "   ")
@@ -610,6 +635,18 @@ class TestCorrelate:
         assert code == 2
         assert out == ""
         assert f"{path}:5: non-finite value {cell!r}" in err
+
+    def test_short_row(self, capsys, tmp_path):
+        path = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2\n")
+        code, out, err = run_cli(capsys, "correlate", path)
+        assert (code, out) == (2, "")
+        assert err == f"naveval: error: {path}:3: expected 3 columns, got 2\n"
+
+    def test_blank_row_skipped(self, capsys, tmp_path):
+        path = self.write_table(tmp_path, "id,m,human\nq1,1,1\n\nq2,2,3\nq3,3,2\nq4,4,4\n")
+        code, out, err = run_cli(capsys, "correlate", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"metric": "m", "pearson": pytest.approx(0.8, abs=1e-12), "n": 4}]
 
     def test_bad_header(self, capsys, tmp_path):
         path = self.write_table(tmp_path, "name,m,human\nq1,1,1\n")

@@ -1,0 +1,73 @@
+"""The constructor Record writes for a value type that only stores its fields."""
+
+import inspect
+
+import pytest
+
+from naveval._record import Record
+from naveval.align import TargetMatrix
+from naveval.knowledge import KnowledgeFact
+from naveval.metric import ScoreReport, ScoringInput
+from naveval.stats import CorrelationReport, MetricCorrelation
+from naveval.text import DirectionTaxonomy, Instruction
+
+GENERATED = [ScoreReport, MetricCorrelation, CorrelationReport]
+WRITTEN = [Instruction, DirectionTaxonomy, KnowledgeFact, TargetMatrix, ScoringInput]
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
+def test_signature_is_the_fields_in_order_with_their_defaults(cls):
+    params = inspect.signature(cls).parameters.values()
+    assert tuple(p.name for p in params) == cls._fields
+    assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
+    assert {p.name: p.default for p in params if p.default is not inspect.Parameter.empty} == cls._defaults
+
+
+@pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
+def test_qualname_and_module_name_the_class(cls):
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__module__ == cls.__module__
+
+
+def test_missing_argument_is_a_type_error():
+    with pytest.raises(TypeError) as excinfo:
+        MetricCorrelation("spice_d", 0.5)
+    assert str(excinfo.value) == "MetricCorrelation.__init__() missing 1 required positional argument: 'n'"
+
+
+def test_unknown_keyword_is_a_type_error():
+    with pytest.raises(TypeError) as excinfo:
+        CorrelationReport(entries=(), n_used=2, n_dropped=0, n_filtered=0)
+    assert str(excinfo.value) == "CorrelationReport.__init__() got an unexpected keyword argument 'n_filtered'"
+
+
+def test_trailing_defaults_of_a_new_type():
+    class Pair(Record):
+        __slots__ = _fields = ("left", "right", "weight")
+        _defaults = {"right": None, "weight": 1.0}
+
+    assert Pair("a") == Pair("a", None, 1.0) == Pair(left="a", weight=1.0)
+    assert Pair("a", "b")._values() == ("a", "b", 1.0)
+    with pytest.raises(TypeError):
+        Pair()
+
+
+@pytest.mark.parametrize("cls", WRITTEN, ids=lambda cls: cls.__name__)
+def test_a_type_that_writes_its_own_init_keeps_it(cls):
+    assert cls.__init__.__code__.co_filename == inspect.getfile(cls)
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+
+
+def test_own_init_of_a_new_type_is_kept():
+    class Checked(Record):
+        __slots__ = _fields = ("value",)
+
+        def __init__(self, value):
+            if value < 0:
+                raise ValueError("value must be nonnegative")
+            object.__setattr__(self, "value", value)
+
+    assert Checked.__init__.__code__.co_filename == __file__
+    assert Checked(1).value == 1
+    with pytest.raises(ValueError):
+        Checked(-1)

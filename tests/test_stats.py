@@ -109,6 +109,11 @@ class TestCorrelateMetrics:
         assert (report.n_used, report.n_dropped) == (2, 1)
         assert report.entries == (MetricCorrelation(metric="m", pearson=1.0, n=2),)
 
+    def test_no_metric_columns(self):
+        with pytest.raises(ValueError) as excinfo:
+            correlate_metrics({}, [1.0, 2.0])
+        assert str(excinfo.value) == "at least one metric column is required"
+
     def test_fewer_than_two_complete_rows(self):
         with pytest.raises(ValueError, match="at least two"):
             correlate_metrics({"m": [1.0, None, None]}, [1.0, 2.0, 3.0])

@@ -150,6 +150,11 @@ class TestTokenize:
         with pytest.raises(ValueError):
             Instruction(raw="ab", tokens=("a b",), spans=((0, 2),))
 
+    def test_instruction_tokens_and_spans_must_match_in_length(self):
+        with pytest.raises(ValueError) as excinfo:
+            Instruction(raw="a b", tokens=("a",), spans=((0, 1), (2, 3)))
+        assert str(excinfo.value) == "tokens and spans must have equal length"
+
 
 class TestTaxonomy:
     def test_bundled_taxonomies_load(self):
@@ -199,6 +204,19 @@ class TestTaxonomy:
                 name="bad", classes=(("left", ("turn left",)), ("right", ("turn left",)))
             )
 
+    @pytest.mark.parametrize(
+        "name, classes, message",
+        [
+            ("", (("left", ("left",)),), "taxonomy name must be nonempty"),
+            ("t", (("", ("left",)),), "direction class labels must be nonempty"),
+        ],
+        ids=["name", "label"],
+    )
+    def test_empty_name_or_label_rejected(self, name, classes, message):
+        with pytest.raises(ValueError) as excinfo:
+            DirectionTaxonomy(name, classes)
+        assert str(excinfo.value) == message
+
     def test_empty_phrase_rejected(self):
         with pytest.raises(ValueError, match="empty after tokenization"):
             DirectionTaxonomy(name="bad", classes=(("left", ("...",)),))
@@ -218,6 +236,19 @@ class TestTaxonomy:
     def test_from_mapping_rejects_malformed_document(self, doc):
         with pytest.raises(ValueError):
             DirectionTaxonomy.from_mapping(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([{"name": "t"}], "taxonomy document must be a JSON object"),
+            ({"name": "t", "classes": ["left"]}, "each taxonomy class must be an object"),
+        ],
+        ids=["list", "class-not-object"],
+    )
+    def test_from_mapping_names_the_wrong_shape(self, doc, message):
+        with pytest.raises(ValueError) as excinfo:
+            DirectionTaxonomy.from_mapping(doc)
+        assert str(excinfo.value) == message
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +341,16 @@ class TestChunkInstruction:
             "go down the stairs",
             "then stop at the door",
         ]
+
+    @pytest.mark.parametrize("mark", list(".,;:!?"))
+    def test_boundary_after_every_clause_mark(self, mark):
+        ins = tokenize(f"turn left{mark} walk to the door")
+        assert chunk_instruction(ins, VERBS) == [(0, 2), (2, 6)]
+
+    def test_quotation_mark_separates_tokens_but_opens_no_chunk(self):
+        ins = tokenize('turn left "walk" to the door')
+        assert ins.tokens == ("turn", "left", "walk", "to", "the", "door")
+        assert chunk_instruction(ins, VERBS) == [(0, 6)]
 
     def test_boundary_at_token_one(self):
         ins = tokenize("stop then turn left")
