@@ -20,6 +20,8 @@ from pathlib import Path
 # them, so kb query and align load neither; typing is not loaded either.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     from .metric import ScoreReport, SynonymMap, _Side
     from .text import DirectionTaxonomy
 
@@ -37,18 +39,19 @@ class SchemaError(InputError):
     exit_code = 2
 
 
-def _not_utf8(path: Path, exc: UnicodeDecodeError) -> SchemaError:
-    return SchemaError(f"{path}: not valid UTF-8 (byte {exc.start})")
+def _read_text(path: Path, unreadable: Callable[[OSError], str] = str) -> str:
+    """A whole input file as text, its lines ended by "\n" and a leading BOM dropped.
 
-
-def _read_text(path: Path) -> str:
-    """A whole input file as text: unreadable is an input error, not UTF-8 a schema error."""
+    Every CLI input file is read here. Unreadable is an input error worded by
+    unreadable(exc); not UTF-8 is a schema error naming the first bad byte's
+    offset in the file, a BOM counted.
+    """
     try:
-        return path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
+        raise SchemaError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
     except OSError as exc:
-        raise InputError(str(exc)) from None
+        raise InputError(unreadable(exc)) from None
 
 
 def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | None = None) -> list[tuple[str, _Side]]:
@@ -64,7 +67,7 @@ def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | 
     from .text import _labels, _words
 
     records = []
-    for lineno, line in enumerate(_read_text(path).splitlines(), 1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
@@ -185,14 +188,11 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def _load_taxonomy(name: str) -> DirectionTaxonomy:
-    from .text import _taxonomy_path, load_taxonomy
+    from .text import DirectionTaxonomy, _taxonomy_path
 
+    text = _read_text(_taxonomy_path(name), lambda exc: f"taxonomy {name!r} cannot be read: {exc}")
     try:
-        return load_taxonomy(name)
-    except OSError as exc:
-        raise InputError(f"taxonomy {name!r} cannot be read: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(_taxonomy_path(name), exc) from None
+        return DirectionTaxonomy.from_mapping(json.loads(text))
     except ValueError as exc:
         raise SchemaError(f"taxonomy {name!r}: {exc}") from None
 
@@ -202,12 +202,9 @@ def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
         return None
     from .metric import SynonymMap
 
+    text = _read_text(Path(args.synonyms))
     try:
-        return SynonymMap.load(args.synonyms)
-    except OSError as exc:
-        raise InputError(str(exc)) from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(Path(args.synonyms), exc) from None
+        return SynonymMap._from_doc(json.loads(text))
     except ValueError as exc:
         raise SchemaError(f"{args.synonyms}: {exc}") from None
 
@@ -407,19 +404,15 @@ def _cmd_directions(args: argparse.Namespace) -> int:
 
 
 def _cmd_chunk(args: argparse.Namespace) -> int:
-    from .text import chunk_instruction, data_dir, load_verb_lexicon, span_text, tokenize
+    from .text import _parse_verbs, chunk_instruction, data_dir, span_text, tokenize
 
     instruction = tokenize(args.text)
     path = data_dir() / "verbs.txt"
+    verbs = _parse_verbs(
+        _read_text(path, lambda exc: f"verb lexicon {str(path)!r} cannot be read: {exc.strerror or exc}")
+    )
     try:
-        verbs = load_verb_lexicon(path)
         spans = chunk_instruction(instruction, verbs)
-    except FileNotFoundError as exc:
-        raise InputError(f"verb lexicon not found: {exc}") from None
-    except OSError as exc:
-        raise InputError(f"verb lexicon {str(path)!r} cannot be read: {exc.strerror or exc}") from None
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(path, exc) from None
     except ValueError as exc:
         raise InputError(str(exc)) from None
     lines = [span_text(instruction, span) for span in spans]
@@ -521,15 +514,13 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_kb(args: argparse.Namespace) -> int:
-    from .knowledge import DEFAULT_TOP_K, KnowledgeBaseError, load_kb, retrieve_facts
+    from .knowledge import DEFAULT_TOP_K, KnowledgeBaseError, _parse_kb, retrieve_facts
 
     k = DEFAULT_TOP_K if args.k is None else args.k
+    path = Path(args.kb)
+    text = _read_text(path)
     try:
-        kb = load_kb(Path(args.kb))
-    except UnicodeDecodeError as exc:
-        raise _not_utf8(Path(args.kb), exc) from None
-    except OSError as exc:
-        raise InputError(str(exc)) from None
+        kb = _parse_kb(text, path)
     except KnowledgeBaseError as exc:
         raise SchemaError(str(exc)) from None
     try:

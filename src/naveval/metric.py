@@ -65,7 +65,11 @@ class SynonymMap:
     @classmethod
     def load(cls, path: str | Path) -> "SynonymMap":
         """Read synonym groups from a JSON file holding a list of string lists."""
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        return cls._from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
+
+    @classmethod
+    def _from_doc(cls, doc: object) -> "SynonymMap":
+        """The synonym groups of a parsed synonyms file, its shape checked."""
         if not isinstance(doc, list) or not all(
             isinstance(g, list) and all(isinstance(w, str) for w in g) for g in doc
         ):

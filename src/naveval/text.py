@@ -211,13 +211,13 @@ def direction_labels(instruction: Instruction, taxonomy: DirectionTaxonomy) -> l
 def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
     """Read the action-verb lexicon: one lowercase verb per line, '#' comments allowed."""
     p = Path(path) if path is not None else data_dir() / "verbs.txt"
-    verbs: set[str] = set()
-    for line in p.read_text(encoding="utf-8").splitlines():
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        verbs.add(stripped.lower())
-    return frozenset(verbs)
+    return _parse_verbs(p.read_text(encoding="utf-8"))
+
+
+def _parse_verbs(text: str) -> frozenset[str]:
+    """The verbs of a lexicon file's text, whose lines end in "\n"."""
+    lines = (line.strip() for line in text.split("\n"))
+    return frozenset(line.lower() for line in lines if line and not line.startswith("#"))
 
 
 def chunk_instruction(instruction: Instruction, verbs: Iterable[str]) -> list[tuple[int, int]]:

@@ -853,6 +853,115 @@ class TestUnreadableInputs:
         assert err == f"naveval: error: {bad}: not valid UTF-8 (byte 16)\n"
 
 
+# A record is one "\n"-terminated line: U+0085, U+2028 and U+2029 may sit raw
+# inside a JSON string or a TSV field, and a \r\n file reads as its \n copy.
+LINE_CASES = {"U+0085": ("\x85", "\n"), "U+2028": ("\u2028", "\n"), "U+2029": ("\u2029", "\n"), "CRLF": (" ", "\r\n")}
+
+
+def write_lines(path, lines, eol="\n"):
+    path.write_bytes("".join(line + eol for line in lines).encode("utf-8"))
+
+
+def write_raw_jsonl(path, rows, eol="\n"):
+    write_lines(path, [json.dumps(row, ensure_ascii=False) for row in rows], eol)
+
+
+class TestRecordLines:
+    @pytest.mark.parametrize("case", LINE_CASES)
+    def test_score_keeps_the_record_whole(self, capsys, tmp_path, case):
+        char, eol = LINE_CASES[case]
+        rows = [
+            {"id": "a", "text": f"turn left{char}at the sofa", "tuples": [["sofa"], [f"red{char}sofa"]]},
+            {"id": "b", "text": f"walk ahead{char}then turn right", "tuples": [["door"]]},
+        ]
+        cands, refs = tmp_path / "c.jsonl", tmp_path / "r.jsonl"
+        write_raw_jsonl(cands, rows, eol)
+        write_raw_jsonl(refs, rows, eol)
+        code, out, err = run_cli(capsys, "score", str(cands), str(refs), "--quiet")
+        assert (code, err) == (0, "")
+        records = json.loads(out)["records"]
+        assert [(r["id"], r["spice"], r["spice_d"]) for r in records] == [("a", 1.0, 1.0), ("b", 1.0, 1.0)]
+        assert [r["counts"]["cand_tuples"] for r in records] == [2, 1]
+
+    @pytest.mark.parametrize("case", LINE_CASES)
+    def test_correlate_instructions_keep_the_record_whole(self, capsys, tmp_path, case):
+        char, eol = LINE_CASES[case]
+        table = tmp_path / "t.csv"
+        write_lines(table, ["id,m,human", "q1,1,1", "q2,2,3", "q3,3,2", "q4,4,4", "q5,9,0"], eol)
+        instructions = tmp_path / "i.jsonl"
+        texts = ["turn left", "go left", "turn right", "go right", "walk ahead"]
+        rows = [{"id": f"q{i}", "text": f"{text}{char}then turn around"} for i, text in enumerate(texts, 1)]
+        rows[4]["text"] = f"walk{char}ahead"
+        write_raw_jsonl(instructions, rows, eol)
+        code, out, err = run_cli(
+            capsys, "correlate", str(table), "--min-directions", "2", "--instructions", str(instructions)
+        )
+        assert (code, err) == (0, "direction filter kept 4 rows, removed 1\n")
+        (entry,) = json.loads(out)
+        assert entry["n"] == 4
+        assert abs(entry["pearson"] - 0.8) < 1e-12
+
+    @pytest.mark.parametrize("case", LINE_CASES)
+    def test_kb_query_keeps_the_fact_whole(self, capsys, tmp_path, case):
+        char, eol = LINE_CASES[case]
+        kb = tmp_path / "kb.tsv"
+        write_lines(kb, ["# kitchen", f"lamp\tHasA\tshade{char}cord\t2.0", "lamp\tAtLocation\tdesk\t1.0"], eol)
+        code, out, err = run_cli(capsys, "kb", "query", "--kb", str(kb), "--entity", "lamp")
+        assert (code, err) == (0, "")
+        assert out == f"lamp\tHasA\tshade{char}cord\t2.0\nlamp\tAtLocation\tdesk\t1.0\n"
+
+    @pytest.mark.parametrize("case", LINE_CASES)
+    def test_line_numbers_count_newlines_only(self, capsys, tmp_path, case):
+        char, eol = LINE_CASES[case]
+        cands = tmp_path / "c.jsonl"
+        write_lines(cands, [json.dumps({"id": "a", "text": f"turn{char}left"}, ensure_ascii=False), "{broken"], eol)
+        code, _, err = run_cli(capsys, "score", str(cands), str(cands))
+        assert code == 2
+        assert err.startswith(f"naveval: error: {cands}:2: invalid JSON: ")
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 BOM, as spreadsheet programs write it, is dropped by the one reader."""
+
+    @pytest.mark.parametrize("case", ["score", "correlate", "align", "kb", "taxonomy", "synonyms"])
+    def test_bom_file_reads_as_its_copy_without_one(self, capsys, tmp_path, test_data_dir, mini_corpus_dir, case):
+        from naveval.text import data_dir
+
+        mini = [str(mini_corpus_dir / "candidates.jsonl"), str(mini_corpus_dir / "references.jsonl")]
+        argv = {
+            "score": ["score", *mini, "--quiet"],
+            "correlate": [
+                "correlate", str(test_data_dir / "correlate_table.csv"), "--min-directions", "1",
+                "--instructions", str(test_data_dir / "correlate_instructions.jsonl"), "--quiet",
+            ],
+            "align": ["align", str(test_data_dir / "align_features.json"), "--ce", "0.25", "--eps", "0.5"],
+            "kb": ["kb", "query", "--kb", str(test_data_dir / "kb_fixture.tsv"), "--entity", "microwave"],
+            "taxonomy": ["score", *mini, "--quiet", "--taxonomy", str(data_dir() / "taxonomies" / "r2r.json")],
+            "synonyms": [
+                "score", *mini, "--quiet", "--aggregation", "mean",
+                "--synonyms", str(data_dir() / "synonyms" / "example.json"),
+            ],
+        }[case]
+        code, expected, _ = run_cli(capsys, *argv)
+        assert code == 0
+        # Every input file of the command gets a BOM.
+        files = [i for i, arg in enumerate(argv) if Path(arg).is_file()]
+        assert files
+        for i in files:
+            copy = tmp_path / f"{i}{Path(argv[i]).suffix}"
+            copy.write_bytes(b"\xef\xbb\xbf" + Path(argv[i]).read_bytes())
+            argv[i] = str(copy)
+        assert run_cli(capsys, *argv) == (0, expected, "")
+
+    def test_bad_byte_offset_counts_the_bom(self, capsys, tmp_path):
+        bad = tmp_path / "c.jsonl"
+        bad.write_bytes(b'\xef\xbb\xbf{"id":\xff"a"}\n')
+        code, out, err = run_cli(capsys, "score", str(bad), str(bad))
+        assert (code, out) == (2, "")
+        # utf-8-sig would name byte 6, the offset after the BOM.
+        assert err == f"naveval: error: {bad}: not valid UTF-8 (byte 9)\n"
+
+
 class TestKbQuery:
     def test_top_k_order(self, capsys, kb_fixture_path):
         code, out, _ = run_cli(

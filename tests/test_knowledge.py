@@ -26,6 +26,21 @@ class TestLoadKb:
         assert kb.n_facts == 1
         assert retrieve_facts(kb, "sofa") == [KnowledgeFact("sofa", "AtLocation", "living room", 2.5)]
 
+    @pytest.mark.parametrize(
+        "char, eol", [("\x85", "\n"), ("\u2028", "\n"), ("\u2029", "\n"), (" ", "\r\n")],
+        ids=["U+0085", "U+2028", "U+2029", "CRLF"],
+    )
+    def test_a_row_is_one_newline_terminated_line(self, tmp_path, char, eol):
+        path = tmp_path / "kb.tsv"
+        lines = ["# kitchen", f"lamp\tHasA\tshade{char}cord\t2.0", "lamp\tAtLocation\tdesk\t1.0"]
+        path.write_bytes("".join(line + eol for line in lines).encode("utf-8"))
+        kb = load_kb(path)
+        assert kb.n_facts == 2
+        assert retrieve_facts(kb, "lamp", k=1) == [KnowledgeFact("lamp", "HasA", f"shade{char}cord", 2.0)]
+        path.write_bytes(path.read_bytes() + f"lamp{char}desk{eol}".encode("utf-8"))
+        with pytest.raises(KnowledgeBaseError, match=r": line 4: expected 4 tab-separated columns, got 1$"):
+            load_kb(path)
+
     def test_head_lookup_case_insensitive(self, tmp_path):
         path = tmp_path / "kb.tsv"
         path.write_text("Sofa\tAtLocation\tliving room\t2.5\n")
