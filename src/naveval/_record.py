@@ -1,7 +1,9 @@
-"""The base of naveval's immutable value types.
+"""What every naveval module shares: its file reader and its value-type base.
 
-A subclass names its fields in _fields and lists them (and any caches) in
-__slots__. Assignment to an instance raises AttributeError, so fields are
+_read_text reads every input file, for the library loaders and the CLI alike.
+
+A Record subclass names its fields in _fields and lists them (and any caches)
+in __slots__. Assignment to an instance raises AttributeError, so fields are
 set through _set. A subclass that only stores its fields writes no __init__:
 it gets the one dataclasses would write, with the trailing fields named in
 _defaults taking their defaults. A subclass that checks or converts its
@@ -11,7 +13,19 @@ alone, in the form dataclasses would give them.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 _set = object.__setattr__
+
+
+def _read_text(path: str | Path) -> str:
+    """A whole file as text: UTF-8, its lines ended by "\n", a leading BOM dropped.
+
+    OSError and UnicodeDecodeError escape. The codec is utf-8, not utf-8-sig,
+    so a bad byte's offset counts from the file's first byte, a BOM included.
+    """
+    with open(path, encoding="utf-8") as handle:
+        return handle.read().removeprefix("\ufeff")
 
 
 class Record:

@@ -16,14 +16,18 @@ import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from ._record import _read_text
+
 # naveval.metric and naveval.text are imported by the code paths that use
 # them, so kb query and align load neither; typing is not loaded either.
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from collections.abc import Callable
+    from typing import TypeVar
 
     from .metric import ScoreReport, SynonymMap, _Side
     from .text import DirectionTaxonomy
+    _T = TypeVar("_T")
 
 DEFAULT_TAXONOMY = "r2r"
 
@@ -39,19 +43,26 @@ class SchemaError(InputError):
     exit_code = 2
 
 
-def _read_text(path: Path, unreadable: Callable[[OSError], str] = str) -> str:
-    """A whole input file as text, its lines ended by "\n" and a leading BOM dropped.
+def _load(
+    load: Callable[[Path], _T],
+    path: Path,
+    unreadable: Callable[[OSError], str] = str,
+    invalid: Callable[[ValueError], str] = str,
+) -> _T:
+    """load(path), whose file is read by _record._read_text, its errors mapped to exit codes.
 
-    Every CLI input file is read here. Unreadable is an input error worded by
-    unreadable(exc); not UTF-8 is a schema error naming the first bad byte's
-    offset in the file, a BOM counted.
+    Not UTF-8 is a schema error naming the first bad byte's offset in the file,
+    a BOM counted. OSError is an input error worded by unreadable(exc); any
+    other ValueError is a schema error worded by invalid(exc).
     """
     try:
-        return path.read_text(encoding="utf-8").removeprefix("\ufeff")
+        return load(path)
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
     except OSError as exc:
         raise InputError(unreadable(exc)) from None
+    except ValueError as exc:
+        raise SchemaError(invalid(exc)) from None
 
 
 def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | None = None) -> list[tuple[str, _Side]]:
@@ -67,14 +78,14 @@ def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | 
     from .text import _labels, _words
 
     records = []
-    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
+    for lineno, line in enumerate(_load(_read_text, path).split("\n"), 1):
         if not line.strip():
             continue
         where = f"{path}:{lineno}"
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{where}: invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
+            raise SchemaError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
         if not isinstance(obj, dict):
             raise SchemaError(f"{where}: record must be a JSON object")
         rid = obj.get("id")
@@ -111,13 +122,6 @@ def _by_unique_id(records: list[tuple[str, _Side]], path: str, kind: str) -> dic
             raise SchemaError(f"{path}: duplicate {kind} id {rid!r}")
         by_id[rid] = item
     return by_id
-
-
-def _load_json(path: Path) -> object:
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON: {exc}") from None
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -188,13 +192,10 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 
 def _load_taxonomy(name: str) -> DirectionTaxonomy:
-    from .text import DirectionTaxonomy, _taxonomy_path
+    from .text import _taxonomy_path, load_taxonomy
 
-    text = _read_text(_taxonomy_path(name), lambda exc: f"taxonomy {name!r} cannot be read: {exc}")
-    try:
-        return DirectionTaxonomy.from_mapping(json.loads(text))
-    except ValueError as exc:
-        raise SchemaError(f"taxonomy {name!r}: {exc}") from None
+    path, what = _taxonomy_path(name), f"taxonomy {name!r}"
+    return _load(load_taxonomy, path, lambda exc: f"{what} cannot be read: {exc}", lambda exc: f"{what}: {exc}")
 
 
 def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
@@ -202,11 +203,7 @@ def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
         return None
     from .metric import SynonymMap
 
-    text = _read_text(Path(args.synonyms))
-    try:
-        return SynonymMap._from_doc(json.loads(text))
-    except ValueError as exc:
-        raise SchemaError(f"{args.synonyms}: {exc}") from None
+    return _load(SynonymMap.load, Path(args.synonyms), invalid=lambda exc: f"{args.synonyms}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +337,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
     eps = align.DEFAULT_EPS if args.eps is None else args.eps
     lambda1 = align.DEFAULT_LAMBDA1 if args.lambda1 is None else args.lambda1
     lambda2 = align.DEFAULT_LAMBDA2 if args.lambda2 is None else args.lambda2
-    doc = _load_json(Path(args.features))
+    path = Path(args.features)
+    doc = _load(lambda p: json.loads(_read_text(p)), path, invalid=lambda exc: f"{path}: invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError(f"{args.features}: feature document must be a JSON object")
     for key in ("sub_instructions", "panoramas", "words", "word_to_sub"):
@@ -404,13 +402,11 @@ def _cmd_directions(args: argparse.Namespace) -> int:
 
 
 def _cmd_chunk(args: argparse.Namespace) -> int:
-    from .text import _parse_verbs, chunk_instruction, data_dir, span_text, tokenize
+    from .text import chunk_instruction, data_dir, load_verb_lexicon, span_text, tokenize
 
     instruction = tokenize(args.text)
     path = data_dir() / "verbs.txt"
-    verbs = _parse_verbs(
-        _read_text(path, lambda exc: f"verb lexicon {str(path)!r} cannot be read: {exc.strerror or exc}")
-    )
+    verbs = _load(load_verb_lexicon, path, lambda e: f"verb lexicon {str(path)!r} cannot be read: {e.strerror or e}")
     try:
         spans = chunk_instruction(instruction, verbs)
     except ValueError as exc:
@@ -427,7 +423,7 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
 def _read_score_table(path: Path) -> tuple[list[str], dict[str, list[float | None]], list[float | None]]:
     import csv
 
-    reader = csv.reader(io.StringIO(_read_text(path), newline=""))
+    reader = csv.reader(io.StringIO(_load(_read_text, path), newline=""))
     try:
         header = next(reader)
     except StopIteration:
@@ -514,15 +510,10 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
 
 def _cmd_kb(args: argparse.Namespace) -> int:
-    from .knowledge import DEFAULT_TOP_K, KnowledgeBaseError, _parse_kb, retrieve_facts
+    from .knowledge import DEFAULT_TOP_K, load_kb, retrieve_facts
 
     k = DEFAULT_TOP_K if args.k is None else args.k
-    path = Path(args.kb)
-    text = _read_text(path)
-    try:
-        kb = _parse_kb(text, path)
-    except KnowledgeBaseError as exc:
-        raise SchemaError(str(exc)) from None
+    kb = _load(load_kb, Path(args.kb))
     try:
         facts = retrieve_facts(kb, args.entity, k)
     except ValueError as exc:

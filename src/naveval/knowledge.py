@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ._record import Record, _set
+from ._record import Record, _read_text, _set
 
 DEFAULT_TOP_K = 3
 
@@ -61,14 +61,9 @@ def load_kb(path: str | Path) -> KnowledgeBase:
     Blank lines and lines starting with '#' are skipped. All malformed rows
     are reported together, with their line numbers.
     """
-    return _parse_kb(Path(path).read_text(encoding="utf-8"), path)
-
-
-def _parse_kb(text: str, path: str | Path) -> KnowledgeBase:
-    """load_kb on the file's text, whose lines end in "\n"; path names it in errors."""
     rows: list[_Row] = []
     problems: list[str] = []
-    for lineno, line in enumerate(text.split("\n"), 1):
+    for lineno, line in enumerate(_read_text(path).split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

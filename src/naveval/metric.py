@@ -6,7 +6,7 @@ import json
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from ._record import Record, _set
+from ._record import Record, _read_text, _set
 from .text import DirectionTaxonomy, Instruction, direction_labels
 
 # A semantic tuple holds 1-3 lowercase lemmas: (object,), (object, attribute),
@@ -65,11 +65,7 @@ class SynonymMap:
     @classmethod
     def load(cls, path: str | Path) -> "SynonymMap":
         """Read synonym groups from a JSON file holding a list of string lists."""
-        return cls._from_doc(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    @classmethod
-    def _from_doc(cls, doc: object) -> "SynonymMap":
-        """The synonym groups of a parsed synonyms file, its shape checked."""
+        doc = json.loads(_read_text(path))
         if not isinstance(doc, list) or not all(
             isinstance(g, list) and all(isinstance(w, str) for w in g) for g in doc
         ):

@@ -7,7 +7,7 @@ import os
 from collections.abc import Iterable
 from pathlib import Path
 
-from ._record import Record, _set
+from ._record import Record, _read_text, _set
 
 # The punctuation characters that separate tokens, as whitespace does. A token
 # is a maximal run of characters other than whitespace and these.
@@ -164,8 +164,7 @@ def load_taxonomy(source: str | Path) -> DirectionTaxonomy:
     when a file of that name exists in the working directory. A string that
     ends in .json or contains a path separator, and any Path, is read directly.
     """
-    doc = json.loads(_taxonomy_path(source).read_text(encoding="utf-8"))
-    return DirectionTaxonomy.from_mapping(doc)
+    return DirectionTaxonomy.from_mapping(json.loads(_read_text(_taxonomy_path(source))))
 
 
 def _taxonomy_path(source: str | Path) -> Path:
@@ -210,12 +209,7 @@ def direction_labels(instruction: Instruction, taxonomy: DirectionTaxonomy) -> l
 
 def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
     """Read the action-verb lexicon: one lowercase verb per line, '#' comments allowed."""
-    p = Path(path) if path is not None else data_dir() / "verbs.txt"
-    return _parse_verbs(p.read_text(encoding="utf-8"))
-
-
-def _parse_verbs(text: str) -> frozenset[str]:
-    """The verbs of a lexicon file's text, whose lines end in "\n"."""
+    text = _read_text(data_dir() / "verbs.txt" if path is None else path)
     lines = (line.strip() for line in text.split("\n"))
     return frozenset(line.lower() for line in lines if line and not line.startswith("#"))
 

@@ -123,6 +123,12 @@ class TestBuildCost:
             cost = build_cost(subs, panos)
             assert (cost >= 0.0).all() and (cost <= 2.0).all()
 
+    def test_antiparallel_rounding_is_clipped_to_two(self):
+        """Unit rows of opposite vectors can have a dot product just below -1, so 1 - dot just above 2."""
+        subs = [[0.4, 5.9], [5.9, 0.4], [0.1, 1.0], [1.0, 0.1]]
+        cost = build_cost(subs, [[-x for x in row] for row in subs])
+        assert cost.max() <= 2.0
+
 
 class TestDtwAlign:
     def test_single_row_fills_row(self):
@@ -220,6 +226,18 @@ class TestValidateAlignmentMatrix:
         with pytest.raises(ValueError, match="0 or 1"):
             validate_alignment_matrix([[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)], ids=["no-rows", "no-columns", "1-D"])
+    def test_rejects_empty_or_flat(self, shape):
+        with pytest.raises(ValueError) as excinfo:
+            validate_alignment_matrix(np.ones(shape, dtype=int))
+        assert str(excinfo.value) == "alignment matrix must be a nonempty 2-D array"
+
+    @pytest.mark.parametrize("a", [[[0, 1], [0, 1]], [[1, 0], [1, 0]]], ids=["no-start", "no-end"])
+    def test_either_missing_corner_names_both(self, a):
+        with pytest.raises(ValueError) as excinfo:
+            validate_alignment_matrix(a)
+        assert str(excinfo.value) == "alignment path must start at (0, 0) and end at the opposite corner"
+
 
 class TestExpandAlignment:
     def test_rows_copied_per_word(self):
@@ -257,13 +275,32 @@ class TestExpandAlignment:
 
     def test_uncovered_word_rejected(self):
         a = np.array([[1, 0], [0, 1]])
-        with pytest.raises(ValueError, match="not covered"):
+        with pytest.raises(ValueError) as excinfo:
             expand_alignment(a, [(0, 1), (2, 3)], n_words=3)
+        assert str(excinfo.value) == "words not covered by any sub-instruction span: [1]"
 
     def test_overlapping_spans_rejected(self):
         a = np.array([[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="more than one"):
             expand_alignment(a, [(0, 2), (1, 3)], n_words=3)
+
+    def test_overlap_names_the_first_word_already_covered(self):
+        """Word 2 is the first word of the span (0, 3) that (2, 3) covers; words 0 and 1 are free."""
+        a = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment(a, [(2, 3), (0, 3)], n_words=3)
+        assert str(excinfo.value) == "word 2 is covered by more than one sub-instruction span"
+
+    def test_zero_width_span_rejected(self):
+        a = np.array([[1, 0], [0, 1]])
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment(a, [(0, 1), (1, 1), (1, 3)], n_words=3)
+        assert str(excinfo.value) == "sub-instruction span (1, 1) out of range for 3 words"
+
+    def test_one_word(self):
+        target = expand_alignment(np.array([[1]]), [(0, 1)], n_words=1)
+        assert target.word_to_sub == (0,)
+        np.testing.assert_array_equal(target.a_prime, [[1]])
 
     def test_span_count_must_match_rows(self):
         a = np.array([[1, 0], [0, 1]])
@@ -366,6 +403,20 @@ class TestAttentionCoverageLoss:
         with pytest.raises(ValueError) as excinfo:
             attention_coverage_loss([[math.nan, 1.0]], [[1, 0]])
         assert str(excinfo.value) == "attention entries must be finite"
+
+    @pytest.mark.parametrize(
+        "beta, message",
+        [
+            ([[math.inf, 0.0]], "attention entries must be finite"),
+            ([[1.5, 0.0]], "attention entries must lie in [0, 1]"),
+        ],
+        ids=["inf", "above-one"],
+    )
+    def test_entries_are_checked_before_row_sums(self, beta, message):
+        """Neither row sums to 1, but the message names the bad entry."""
+        with pytest.raises(ValueError) as excinfo:
+            attention_coverage_loss(beta, [[1, 0]])
+        assert str(excinfo.value) == message
 
     def test_hand_built_target_must_be_2d(self):
         with pytest.raises(ValueError) as excinfo:
@@ -513,6 +564,10 @@ class TestTotalLoss:
     def test_weighted_sum(self):
         assert total_loss(1.0, 2.0, 3.0) == 6.0
         assert total_loss(1.0, 2.0, 3.0, lambda1=0.5, lambda2=0.25) == 2.75
+
+    @pytest.mark.parametrize("lambda1, lambda2, total", [(0.0, 1.0, 4.0), (1.0, 0.0, 3.0), (0.0, 0.0, 1.0)])
+    def test_zero_weights_accepted(self, lambda1, lambda2, total):
+        assert total_loss(1.0, 2.0, 3.0, lambda1, lambda2) == total
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

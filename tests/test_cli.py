@@ -962,6 +962,43 @@ class TestByteOrderMark:
         assert err == f"naveval: error: {bad}: not valid UTF-8 (byte 9)\n"
 
 
+# The most digits int() converts from a string, 0 where there is no limit.
+INT_MAX_STR_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not INT_MAX_STR_DIGITS, reason="this Python converts integers of any length")
+class TestIntegerDigitLimit:
+    """An integer longer than int() converts is invalid JSON, exit 2, not a traceback."""
+
+    BIG = "1" * (INT_MAX_STR_DIGITS + 1)
+
+    def test_score(self, capsys, tmp_path):
+        cands = tmp_path / "c.jsonl"
+        rows = ['{"id": "a", "text": "turn left"}', '{"id": "b", "text": "go", "n": %s}' % self.BIG]
+        cands.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+        code, out, err = run_cli(capsys, "score", str(cands), str(cands))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"naveval: error: {cands}:2: invalid JSON: ")
+
+    def test_correlate_instructions(self, capsys, tmp_path):
+        table = tmp_path / "t.csv"
+        table.write_text("id,m,human\nq1,1,1\nq2,2,3\n", encoding="utf-8")
+        instructions = tmp_path / "i.jsonl"
+        instructions.write_text('{"id": "q1", "text": "turn left", "n": %s}\n' % self.BIG, encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "correlate", str(table), "--min-directions", "1", "--instructions", str(instructions)
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(f"naveval: error: {instructions}:1: invalid JSON: ")
+
+    def test_align(self, capsys, tmp_path):
+        features = tmp_path / "f.json"
+        features.write_text(json.dumps(FEATURES)[:-1] + ', "n": %s}' % self.BIG, encoding="utf-8")
+        code, out, err = run_cli(capsys, "align", str(features))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"naveval: error: {features}: invalid JSON: ")
+
+
 class TestKbQuery:
     def test_top_k_order(self, capsys, kb_fixture_path):
         code, out, _ = run_cli(
