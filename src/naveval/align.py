@@ -296,9 +296,14 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 
 
 def _logits(words: object, panoramas: object) -> np.ndarray:
-    """Word-panorama dot products, one row per word."""
     w, p = _matching_widths(words, "words", panoramas, "panoramas")
     return w @ p.T
+
+
+def _log_softmax(words: object, panoramas: object) -> tuple[np.ndarray, np.ndarray]:
+    """Each word's log-softmax over the panoramas, factored: the word-panorama products and each row's logsumexp."""
+    logits = _logits(words, panoramas)  # which frees its float64 feature copies before the logsumexp
+    return logits, _logsumexp(logits)
 
 
 def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float:
@@ -310,7 +315,10 @@ def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float
     the aligned logits minus the logsumexp over the row, so it is finite for
     finite features and invariant to adding a per-word constant.
     """
-    logits = _logits(words, panoramas)
+    return _contrastive_loss(*_log_softmax(words, panoramas), a_prime)
+
+
+def _contrastive_loss(logits: np.ndarray, norm: np.ndarray, a_prime: object) -> float:
     target = _as_target(a_prime)
     if target.shape != logits.shape:
         n_w, n_p = logits.shape
@@ -319,14 +327,17 @@ def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float
     if not covered.all():
         raise ValueError(f"target row {np.flatnonzero(~covered)[0]} has no aligned viewpoint")
     per_word = _logsumexp(np.where(target > 0, logits, -np.inf))
-    per_word -= _logsumexp(logits)
+    per_word -= norm
     return 0.0 - float(per_word.sum() / per_word.size)
 
 
 def softmax_attention(words: object, panoramas: object) -> np.ndarray:
     """Row-softmax of word-panorama dot products; rows sum to 1."""
-    logits = _logits(words, panoramas)
-    logits -= _logsumexp(logits)
+    return _softmax(*_log_softmax(words, panoramas))
+
+
+def _softmax(logits: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    logits -= norm
     return np.exp(logits, out=logits)
 
 

@@ -44,8 +44,8 @@ class SchemaError(InputError):
 
 
 def _load(
-    load: Callable[[Path], _T],
-    path: Path,
+    load: Callable[[str | Path], _T],
+    path: str | Path,
     unreadable: Callable[[OSError], str] = str,
     invalid: Callable[[ValueError], str] = str,
 ) -> _T:
@@ -65,7 +65,7 @@ def _load(
         raise SchemaError(invalid(exc)) from None
 
 
-def _load_jsonl(path: Path, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | None = None) -> list[tuple[str, _Side]]:
+def _load_jsonl(path: str, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | None = None) -> list[tuple[str, _Side]]:
     """Each JSONL corpus row as its id and its scoring side, fully validated.
 
     A side is the row's tuple set (None when it has no 'tuples'), checked,
@@ -203,7 +203,7 @@ def _synonyms_from_args(args: argparse.Namespace) -> SynonymMap | None:
         return None
     from .metric import SynonymMap
 
-    return _load(SynonymMap.load, Path(args.synonyms), invalid=lambda exc: f"{args.synonyms}: {exc}")
+    return _load(SynonymMap.load, args.synonyms, invalid=lambda exc: f"{args.synonyms}: {exc}")
 
 
 # ---------------------------------------------------------------------------
@@ -288,13 +288,13 @@ def _cmd_score(args: argparse.Namespace) -> int:
         synonyms, synonyms_error = _synonyms_from_args(args), None
     except InputError as exc:
         synonyms, synonyms_error = None, exc
-    records = _load_jsonl(Path(args.candidates), taxonomy, synonyms)
+    records = _load_jsonl(args.candidates, taxonomy, synonyms)
     if not records:
         raise InputError(f"{args.candidates}: no candidate records")
     candidates = _by_unique_id(records, args.candidates, "candidate")
 
     references: dict[str, list[_Side]] = {}
-    for rid, ref in _load_jsonl(Path(args.references), taxonomy, synonyms):
+    for rid, ref in _load_jsonl(args.references, taxonomy, synonyms):
         references.setdefault(rid, []).append(ref)
 
     missing = [rid for rid in candidates if rid not in references]
@@ -337,8 +337,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     eps = align.DEFAULT_EPS if args.eps is None else args.eps
     lambda1 = align.DEFAULT_LAMBDA1 if args.lambda1 is None else args.lambda1
     lambda2 = align.DEFAULT_LAMBDA2 if args.lambda2 is None else args.lambda2
-    path = Path(args.features)
-    doc = _load(lambda p: json.loads(_read_text(p)), path, invalid=lambda exc: f"{path}: invalid JSON: {exc}")
+    doc = _load(lambda p: json.loads(_read_text(p)), args.features, invalid=lambda exc: f"{args.features}: invalid JSON: {exc}")
     if not isinstance(doc, dict):
         raise SchemaError(f"{args.features}: feature document must be a JSON object")
     for key in ("sub_instructions", "panoramas", "words", "word_to_sub"):
@@ -367,9 +366,10 @@ def _cmd_align(args: argparse.Namespace) -> int:
         raise SchemaError(f"{args.features}: {exc}") from None
 
     try:
-        beta = align.softmax_attention(words, doc["panoramas"])
-        l_att = align.attention_coverage_loss(beta, target, eps=eps)
-        l_nce = align.contrastive_loss(doc["panoramas"], words, target)
+        # One log-softmax for both losses: l_nce reads it before _softmax overwrites it.
+        logits, norm = align._log_softmax(words, doc["panoramas"])
+        l_nce = align._contrastive_loss(logits, norm, target)
+        l_att = align.attention_coverage_loss(align._softmax(logits, norm), target, eps=eps)
         total = align.total_loss(args.ce, l_att, l_nce, lambda1, lambda2)
     except ValueError as exc:
         raise InputError(str(exc)) from None
@@ -420,7 +420,7 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
 # correlate
 
 
-def _read_score_table(path: Path) -> tuple[list[str], dict[str, list[float | None]], list[float | None]]:
+def _read_score_table(path: str) -> tuple[list[str], dict[str, list[float | None]], list[float | None]]:
     import csv
 
     reader = csv.reader(io.StringIO(_load(_read_text, path), newline=""))
@@ -446,7 +446,7 @@ def _read_score_table(path: Path) -> tuple[list[str], dict[str, list[float | Non
     return ids, columns, human
 
 
-def _parse_cell(cell: str, path: Path, lineno: int) -> float | None:
+def _parse_cell(cell: str, path: str, lineno: int) -> float | None:
     from math import isfinite
 
     cell = cell.strip()
@@ -464,7 +464,7 @@ def _parse_cell(cell: str, path: Path, lineno: int) -> float | None:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     from .stats import correlate_metrics
 
-    ids, columns, human = _read_score_table(Path(args.table))
+    ids, columns, human = _read_score_table(args.table)
 
     if args.min_directions is None:
         if args.instructions:
@@ -477,7 +477,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         if not args.instructions:
             raise InputError("--min-directions requires --instructions with the instruction texts")
         taxonomy = _load_taxonomy(DEFAULT_TAXONOMY if args.taxonomy is None else args.taxonomy)
-        records = _load_jsonl(Path(args.instructions), taxonomy)
+        records = _load_jsonl(args.instructions, taxonomy)
         instructions = _by_unique_id(records, args.instructions, "instruction")
         unknown = [rid for rid in ids if rid not in instructions]
         if unknown:
@@ -513,7 +513,7 @@ def _cmd_kb(args: argparse.Namespace) -> int:
     from .knowledge import DEFAULT_TOP_K, load_kb, retrieve_facts
 
     k = DEFAULT_TOP_K if args.k is None else args.k
-    kb = _load(load_kb, Path(args.kb))
+    kb = _load(load_kb, args.kb)
     try:
         facts = retrieve_facts(kb, args.entity, k)
     except ValueError as exc:

@@ -167,11 +167,11 @@ def load_taxonomy(source: str | Path) -> DirectionTaxonomy:
     return DirectionTaxonomy.from_mapping(json.loads(_read_text(_taxonomy_path(source))))
 
 
-def _taxonomy_path(source: str | Path) -> Path:
-    """The file load_taxonomy reads for source."""
+def _taxonomy_path(source: str | Path) -> str | Path:
+    """The file load_taxonomy reads for source: a path-like source as it is given."""
     if isinstance(source, str) and not _looks_like_path(source):
         return data_dir() / "taxonomies" / f"{source}.json"
-    return Path(source)
+    return source
 
 
 def _looks_like_path(s: str) -> bool:

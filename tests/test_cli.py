@@ -419,6 +419,22 @@ class TestAlign:
         assert code == 0
         assert calls == ["alignment matrix"]
 
+    def test_features_checked_and_multiplied_once(self, capsys, monkeypatch, test_data_dir):
+        """build_cost and the one log-softmax each check a pair of feature matrices; the losses share it."""
+        import naveval.align
+
+        calls = []
+        matching_widths = naveval.align._matching_widths
+
+        def counting(a, a_name, b, b_name):
+            calls.append((a_name, b_name))
+            return matching_widths(a, a_name, b, b_name)
+
+        monkeypatch.setattr(naveval.align, "_matching_widths", counting)
+        code, _, _ = run_cli(capsys, "align", str(test_data_dir / "align_features.json"))
+        assert code == 0
+        assert calls == [("sub_instructions", "panoramas"), ("words", "panoramas")]
+
     def test_single_sub_instruction(self, capsys, tmp_path):
         doc = {
             "sub_instructions": [[1.0, 0.0]],
@@ -669,6 +685,18 @@ class TestCorrelate:
         assert (code, out) == (1, "")
         assert err == "naveval: error: --min-directions must be nonnegative\n"
 
+    def test_zero_min_directions_keeps_every_row(self, capsys, tmp_path):
+        path = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,3\nq3,3,2\n")
+        instructions = tmp_path / "instr.jsonl"
+        texts = ["walk ahead", "turn left", "turn left then turn right"]
+        write_jsonl(instructions, [{"id": f"q{i}", "text": text} for i, text in enumerate(texts, 1)])
+        code, out, err = run_cli(
+            capsys, "correlate", path, "--min-directions", "0", "--instructions", str(instructions)
+        )
+        assert (code, err) == (0, "direction filter kept 3 rows, removed 0\n")
+        (entry,) = json.loads(out)
+        assert entry["n"] == 3
+
     def test_min_directions_requires_instructions(self, capsys, tmp_path):
         path = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\n")
         code, _, err = run_cli(capsys, "correlate", path, "--min-directions", "2")
@@ -851,6 +879,52 @@ class TestUnreadableInputs:
         assert code == 2
         assert out == ""
         assert err == f"naveval: error: {bad}: not valid UTF-8 (byte 16)\n"
+
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "align-json", "align-schema", "score-line", "score-duplicate", "synonyms-utf8", "synonyms-groups",
+            "taxonomy-utf8", "correlate-table", "correlate-instructions", "kb-utf8", "kb-schema",
+        ],
+    )
+    def test_file_is_named_as_typed(self, capsys, monkeypatch, tmp_path, mini_corpus_dir, case):
+        """Every error names an input file exactly as its argument spells it."""
+        monkeypatch.chdir(tmp_path)
+        files = {
+            "g.json": b"{not json",
+            "f.json": b'{"x": 1}',
+            "r.jsonl": b'{"id": "a", "text": "turn left"}\n{broken\n',
+            "c.jsonl": b'{"id": "a", "text": "turn left"}\n{"id": "a", "text": "go"}\n',
+            "bad.json": b"\xff",
+            "s.json": b'[["a", "b"], ["b", "c"]]',
+            "t.csv": b"id,m,human\nq1,x,1\n",
+            "ok.csv": b"id,m,human\nq1,1,1\n",
+            "i.jsonl": b"{broken\n",
+            "kb.tsv": b"lamp\tHasA\n",
+        }
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        corpus = [str(mini_corpus_dir / "candidates.jsonl"), str(mini_corpus_dir / "references.jsonl")]
+        argv, named = {
+            "align-json": (["align", "./g.json"], "./g.json: invalid JSON: "),
+            "align-schema": (["align", "./f.json"], "./f.json: missing required key "),
+            "score-line": (["score", "./r.jsonl", "./r.jsonl"], "./r.jsonl:2: invalid JSON: "),
+            "score-duplicate": (["score", "./c.jsonl", "./c.jsonl"], "./c.jsonl: duplicate candidate id "),
+            "synonyms-utf8": (["score", *corpus, "--synonyms", "./bad.json"], "./bad.json: not valid UTF-8 "),
+            "synonyms-groups": (["score", *corpus, "--synonyms", "./s.json"], "./s.json: word 'b' appears "),
+            "taxonomy-utf8": (["directions", "--text", "go", "--taxonomy", "./bad.json"], "./bad.json: not valid "),
+            "correlate-table": (["correlate", "./t.csv"], "./t.csv:2: non-numeric value "),
+            "correlate-instructions": (
+                ["correlate", "./ok.csv", "--min-directions", "1", "--instructions", "./i.jsonl"],
+                "./i.jsonl:1: invalid JSON: ",
+            ),
+            "kb-utf8": (["kb", "query", "--kb", "./bad.json", "--entity", "lamp"], "./bad.json: not valid UTF-8 "),
+            "kb-schema": (["kb", "query", "--kb", "./kb.tsv", "--entity", "lamp"], "./kb.tsv: line 1: expected 4 "),
+        }[case]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"naveval: error: {named}")
 
 
 # A record is one "\n"-terminated line: U+0085, U+2028 and U+2029 may sit raw

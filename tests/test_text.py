@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -178,6 +179,16 @@ class TestTaxonomy:
         p.write_text('{"name": "tiny", "classes": [{"label": "up", "phrases": ["go up"]}]}')
         tax = load_taxonomy(p)
         assert [label for label, _ in tax.classes] == ["up"]
+
+    @pytest.mark.parametrize("absolute", [True, False], ids=["absolute", "relative"])
+    @pytest.mark.parametrize("relpath", ["tiny.json", os.path.join("d", "tiny")], ids=["suffix", "separator"])
+    def test_load_by_str_path(self, tmp_path, monkeypatch, absolute, relpath):
+        """A str that ends in .json or holds a path separator is read as a path."""
+        p = tmp_path / relpath
+        p.parent.mkdir(exist_ok=True)
+        p.write_text('{"name": "tiny", "classes": [{"label": "up", "phrases": ["go up"]}]}')
+        monkeypatch.chdir(tmp_path)
+        assert [label for label, _ in load_taxonomy(str(p) if absolute else relpath).classes] == ["up"]
 
     def test_bare_name_ignores_file_of_that_name_in_cwd(self, tmp_path, monkeypatch):
         (tmp_path / "r2r").write_text("not json", encoding="utf-8")
