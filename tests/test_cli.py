@@ -880,7 +880,6 @@ class TestUnreadableInputs:
         assert out == ""
         assert err == f"naveval: error: {bad}: not valid UTF-8 (byte 16)\n"
 
-
     @pytest.mark.parametrize(
         "case",
         [

@@ -292,6 +292,9 @@ class TestParseDirections:
         # Also among phrases that share their first token.
         tax = DirectionTaxonomy(name="t", classes=(("left", ("turn",)), ("around", ("turn around",))))
         assert direction_labels(tokenize("turn around"), tax) == ["around"]
+        # The phrase's length decides, not its label's.
+        tax = DirectionTaxonomy(name="t", classes=(("around", ("turn",)), ("left", ("turn left",))))
+        assert direction_labels(tokenize("turn left"), tax) == ["left"]
 
     def test_spans_ordered_and_disjoint(self, r2r):
         ins = tokenize("turn left, turn to the right, then turn around")
