@@ -24,7 +24,7 @@ DEFAULT_LAMBDA2 = 1.0
 ATTENTION_ROW_TOL = 1e-6
 
 
-def _as_hidden_matrix(value: object, name: str = "vectors") -> np.ndarray:
+def _as_hidden_matrix(value: object, name: str) -> np.ndarray:
     """Coerce a sequence of equal-length feature vectors to a finite 2-D float array."""
     try:
         arr = np.asarray(value, dtype=float)
@@ -295,14 +295,11 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _logits(words: object, panoramas: object) -> np.ndarray:
-    w, p = _matching_widths(words, "words", panoramas, "panoramas")
-    return w @ p.T
-
-
 def _log_softmax(words: object, panoramas: object) -> tuple[np.ndarray, np.ndarray]:
     """Each word's log-softmax over the panoramas, factored: the word-panorama products and each row's logsumexp."""
-    logits = _logits(words, panoramas)  # which frees its float64 feature copies before the logsumexp
+    w, p = _matching_widths(words, "words", panoramas, "panoramas")
+    logits = w @ p.T
+    del w, p  # free the float64 feature copies before the logsumexp
     return logits, _logsumexp(logits)
 
 

@@ -89,8 +89,6 @@ def _f_score(p: float, r: float) -> float:
 
 def lcs_length(a: Sequence[str], b: Sequence[str]) -> int:
     """Length of the longest common subsequence of two label sequences."""
-    if not a or not b:
-        return 0
     prev = [0] * (len(b) + 1)
     for x in a:
         cur = [0]
@@ -189,11 +187,7 @@ def _score(candidate: _Side, references: Sequence[_Side], aggregation: str = "ma
         pr_sd, re_sd = _ratio(inter + matches, n_cand + n_cand_dirs), _ratio(inter + matches, n_ref + n_ref_dirs)
         spice_d, spice = _f_score(pr_sd, re_sd), _f_score(pr_s, re_s)
         rows.append((spice_d, spice, pr_s, re_s, pr_sd, re_sd, n_ref, inter, n_ref_dirs, matches))
-    best = rows[0]
-    for row in rows:
-        if row[0] > best[0]:
-            best = row
-    spice_d, spice, pr_s, re_s, pr_sd, re_sd, n_ref, inter, n_ref_dirs, matches = best
+    spice_d, spice, pr_s, re_s, pr_sd, re_sd, n_ref, inter, n_ref_dirs, matches = max(rows, key=lambda row: row[0])
     if aggregation == "mean":
         n = len(rows)
         spice_d, spice, pr_s, re_s, pr_sd, re_sd = [sum(column) / n for column in list(zip(*rows))[:6]]
@@ -235,13 +229,6 @@ def check_labels(labels: Iterable[str], taxonomy: DirectionTaxonomy) -> None:
         raise ValueError(f"direction labels not in taxonomy {taxonomy.name!r}: {', '.join(unknown)}")
 
 
-def _resolve_directions(item: ScoringInput, taxonomy: DirectionTaxonomy) -> Sequence[str]:
-    if item.directions is None:
-        return direction_labels(item.instruction, taxonomy)
-    check_labels(item.directions, taxonomy)
-    return item.directions
-
-
 def score_pair(
     candidate: ScoringInput,
     references: Sequence[ScoringInput],
@@ -270,6 +257,9 @@ def score_pair(
 
     def side(item: ScoringInput) -> _Side:
         tuples = item.tuples if item.tuples is None or synonyms is None else synonyms.canonical_set(item.tuples)
-        return tuples, _resolve_directions(item, taxonomy)
+        if item.directions is None:
+            return tuples, direction_labels(item.instruction, taxonomy)
+        check_labels(item.directions, taxonomy)
+        return tuples, item.directions
 
     return _score(side(candidate), [side(ref) for ref in references], aggregation)
