@@ -1,7 +1,8 @@
 """Command-line interface: corpus scoring, alignment reports, and utilities.
 
 Exit codes: 0 on success, 1 on input errors (missing files, unresolvable ids,
-degenerate data), 2 on schema violations (malformed JSON/JSONL/CSV/TSV).
+degenerate data, a library check the input fails, such as --k 0, --eps 0 or
+an empty chunk text), 2 on schema violations (malformed JSON/JSONL/CSV/TSV).
 Output files are written atomically; stdout is used when --out is absent.
 """
 
@@ -166,6 +167,8 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.flush()
     except OSError as exc:
         raise InputError(f"cannot write to stdout: {exc.strerror or exc}") from None
+    except UnicodeEncodeError as exc:  # stdout's encoding cannot hold the text
+        raise InputError(f"cannot write to stdout: {exc}") from None
 
 
 def _emit_json(doc: object, out: str | None) -> None:
@@ -348,11 +351,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     if not isinstance(word_to_sub, list):
         raise SchemaError(f"{args.features}: 'word_to_sub' must be a list of integers")
 
-    try:
-        cost = align.build_cost(doc["sub_instructions"], doc["panoramas"])
-        a = align.dtw_align(cost)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    a = align.dtw_align(align.build_cost(doc["sub_instructions"], doc["panoramas"]))
 
     words = doc["words"]
     if not isinstance(words, list) or len(words) != len(word_to_sub):
@@ -365,14 +364,11 @@ def _cmd_align(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SchemaError(f"{args.features}: {exc}") from None
 
-    try:
-        # One log-softmax for both losses: l_nce reads it before _softmax overwrites it.
-        logits, norm = align._log_softmax(words, doc["panoramas"])
-        l_nce = align._contrastive_loss(logits, norm, target)
-        l_att = align.attention_coverage_loss(align._softmax(logits, norm), target, eps=eps)
-        total = align.total_loss(args.ce, l_att, l_nce, lambda1, lambda2)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    # One log-softmax for both losses: l_nce reads it before _softmax overwrites it.
+    logits, norm = align._log_softmax(words, doc["panoramas"])
+    l_nce = align._contrastive_loss(logits, norm, target)
+    l_att = align.attention_coverage_loss(align._softmax(logits, norm), target, eps=eps)
+    total = align.total_loss(args.ce, l_att, l_nce, lambda1, lambda2)
 
     out_doc = {
         "A": a.tolist(),
@@ -407,10 +403,7 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
     instruction = tokenize(args.text)
     path = data_dir() / "verbs.txt"
     verbs = _load(load_verb_lexicon, path, lambda e: f"verb lexicon {str(path)!r} cannot be read: {e.strerror or e}")
-    try:
-        spans = chunk_instruction(instruction, verbs)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    spans = chunk_instruction(instruction, verbs)
     lines = [span_text(instruction, span) for span in spans]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -491,11 +484,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         human = [human[i] for i in keep]
         _note(args, f"direction filter kept {len(ids)} rows, removed {n_filtered}")
 
-    try:
-        report = correlate_metrics(columns, human)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
+    report = correlate_metrics(columns, human)
     entries = [
         {"metric": e.metric, "pearson": e.pearson, "n": e.n} for e in report.entries
     ]
@@ -514,10 +503,7 @@ def _cmd_kb(args: argparse.Namespace) -> int:
 
     k = DEFAULT_TOP_K if args.k is None else args.k
     kb = _load(load_kb, args.kb)
-    try:
-        facts = retrieve_facts(kb, args.entity, k)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    facts = retrieve_facts(kb, args.entity, k)
     lines = [f"{f.head}\t{f.relation}\t{f.tail}\t{f.weight}" for f in facts]
     _emit("".join(line + "\n" for line in lines), args.out)
     return 0
@@ -620,6 +606,9 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         _to_stderr(f"naveval: error: {exc}")
         return exc.exit_code
+    except ValueError as exc:  # a library check that the input failed
+        _to_stderr(f"naveval: error: {exc}")
+        return 1
 
 
 def run() -> None:

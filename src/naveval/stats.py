@@ -8,6 +8,20 @@ from collections.abc import Mapping, Sequence
 from ._record import Record
 
 
+def _scaled(values: list[float]) -> list[float]:
+    """values times the power of two that brings the largest magnitude into [0.5, 1).
+
+    Pearson's r does not change under scaling, and scaling by a power of two
+    is exact, so r reads the same bits for a series whose squares and
+    products stay in the float range, and is exact for one whose would
+    overflow or fall to subnormals. ldexp, because 2.0 ** -e overflows for a
+    subnormal maximum. frexp gives the exponent 0 for a maximum that is 0 or
+    not finite, so such a series keeps its values.
+    """
+    e = -math.frexp(max(map(abs, values)))[1]
+    return [math.ldexp(v, e) for v in values]
+
+
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson product-moment correlation of two equal-length series.
 
@@ -21,6 +35,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("at least two points are required")
+    xs, ys = _scaled(xs), _scaled(ys)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     dx = [v - mx for v in xs]

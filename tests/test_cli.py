@@ -631,6 +631,19 @@ class TestCorrelate:
         assert entry["n"] == 3
         assert "dropped 1" in err
 
+    @pytest.mark.parametrize(
+        "cells, expected",
+        [(["1e160", "2e160", "4e160"], 0.9819805060619657), (["1.7e308", "1e308", "1.5e308"], -0.27735009811261446)],
+    )
+    def test_metric_values_outside_the_float_range(self, capsys, tmp_path, cells, expected):
+        """Scores whose sums or squares overflow correlate as their scaled copies do."""
+        rows = "".join(f"q{i},{cell},{i}\n" for i, cell in enumerate(cells, 1))
+        path = self.write_table(tmp_path, "id,m,human\n" + rows)
+        code, out, err = run_cli(capsys, "correlate", path)
+        assert (code, err) == (0, "")
+        (entry,) = json.loads(out)
+        assert abs(entry["pearson"] - expected) < 1e-15
+
     def test_single_complete_row_fails(self, capsys, tmp_path):
         path = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,,3\n")
         code, _, err = run_cli(capsys, "correlate", path)
@@ -1125,6 +1138,33 @@ class TestKbQuery:
         assert code == 1
 
 
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("chunk-blank-text", "cannot chunk an instruction with no tokens"),
+        ("kb-k-0", "k must be >= 1, got 0"),
+        ("correlate-constant-column", "column 'm': correlation is undefined for a constant series"),
+        ("align-eps-0", "eps must be positive and finite, got 0.0"),
+        ("align-zero-norm-row", "zero-norm vector at sub_instructions[1]"),
+    ],
+)
+def test_failed_library_check_is_exit_1_with_its_message(capsys, tmp_path, kb_fixture_path, case, message):
+    """main() turns the library's ValueError into one error line: no file, no line, no traceback."""
+    features = tmp_path / "features.json"
+    zero_norm_row = dict(FEATURES, sub_instructions=[[1.0, 0.0], [0.0, 0.0]])
+    features.write_text(json.dumps(zero_norm_row if case == "align-zero-norm-row" else FEATURES), encoding="utf-8")
+    table = tmp_path / "scores.csv"
+    table.write_text("id,m,human\nq1,5,1\nq2,5,3\nq3,5,2\n", encoding="utf-8")
+    argv = {
+        "chunk-blank-text": ["chunk", "--text", "   "],
+        "kb-k-0": ["kb", "query", "--kb", str(kb_fixture_path), "--entity", "sink", "--k", "0"],
+        "correlate-constant-column": ["correlate", str(table)],
+        "align-eps-0": ["align", str(features), "--eps", "0"],
+        "align-zero-norm-row": ["align", str(features)],
+    }[case]
+    assert run_cli(capsys, *argv) == (1, "", f"naveval: error: {message}\n")
+
+
 @pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
 def test_unwritable_out_is_input_error(tmp_path, mini_corpus_dir, target):
     import naveval
@@ -1392,6 +1432,21 @@ def test_closed_stdout_is_a_clean_error(capsys, tmp_path, case):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == f"naveval: error: cannot write to stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_stdout_that_cannot_encode_the_output_is_a_clean_error():
+    """A stdout whose encoding cannot hold the output is a stdout that cannot be written."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "naveval", "chunk", "--text", "walk past the caf\u00e9 and stop"],
+        capture_output=True,
+        env=_naveval_env(PYTHONIOENCODING="ascii"),
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == (
+        b"naveval: error: cannot write to stdout: 'ascii' codec can't encode character '\\xe9' "
+        b"in position 17: ordinal not in range(128)\n"
+    )
 
 
 def _run_shell(argv, redirects, **kwargs):

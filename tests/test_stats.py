@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -30,6 +31,35 @@ class TestPearson:
             pearson([3.0, 3.0, 3.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError, match="constant"):
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
+
+    @pytest.mark.parametrize(
+        "x, expected",
+        [
+            # The squares overflow to inf: r read 0.0.
+            ([1e160, 2e160, 4e160], 0.9819805060619657),
+            # The sum overflows: fsum raised OverflowError.
+            ([1.7e308, 1e308, 1.5e308], -0.27735009811261446),
+            # The squares underflow to 0: the series read as constant.
+            ([1e-170, 2e-170, 4e-170], 0.9819805060619657),
+            # The squares are subnormal: r read -0.5000027832.
+            ([3e-160, 1e-160, 2e-160], -0.5),
+            # Subnormal values, 1, 2 and 3 times the smallest: the squares read 0.
+            ([5e-324, 1e-323, 1.5e-323], 1.0),
+        ],
+    )
+    def test_exact_outside_the_float_range(self, x, expected):
+        assert abs(pearson(x, [1.0, 2.0, 3.0]) - expected) < 1e-15
+        assert abs(pearson([1.0, 2.0, 3.0], x) - expected) < 1e-15
+
+    @pytest.mark.parametrize("shift", [-900, -600, 600, 900])
+    def test_power_of_two_scaling_keeps_every_bit(self, shift):
+        """r of a series scaled by 2**shift, whose squares leave the float range, is r of the series."""
+        rng = random.Random(shift)
+        for _ in range(50):
+            n = rng.randrange(2, 20)
+            x = [rng.uniform(1.0, 100.0) for _ in range(n)]
+            y = [rng.uniform(-5.0, 5.0) for _ in range(n)]
+            assert pearson([math.ldexp(v, shift) for v in x], y) == pearson(x, y)
 
     def test_matches_scipy_pearsonr(self):
         """scipy.stats.pearsonr as an oracle on seeded data, correlated and not."""
