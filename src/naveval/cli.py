@@ -372,7 +372,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
 
     out_doc = {
         "A": a.tolist(),
-        "A_prime": target.a_prime.astype(int).tolist(),
+        "A_prime": target.a_prime.tolist(),
         "l_att": l_att,
         "l_nce": l_nce,
         "ce": args.ce,
@@ -413,7 +413,8 @@ def _cmd_chunk(args: argparse.Namespace) -> int:
 # correlate
 
 
-def _read_score_table(path: str) -> tuple[list[str], dict[str, list[float | None]], list[float | None]]:
+def _read_score_table(path: str) -> tuple[list[str], list[list]]:
+    """The table's header and its rows, each the id and then its parsed cells in column order."""
     import csv
 
     reader = csv.reader(io.StringIO(_load(_read_text, path), newline=""))
@@ -424,19 +425,17 @@ def _read_score_table(path: str) -> tuple[list[str], dict[str, list[float | None
     if len(header) < 3 or header[0] != "id" or header[-1] != "human":
         raise SchemaError(f"{path}: header must be 'id', one or more metric names, then 'human'")
     metric_names = header[1:-1]
-    ids: list[str] = []
-    columns: dict[str, list[float | None]] = {name: [] for name in metric_names}
-    human: list[float | None] = []
+    for i, name in enumerate(metric_names):
+        if name in metric_names[:i]:
+            raise SchemaError(f"{path}: repeated metric name {name!r} in the header")
+    rows = []
     for lineno, row in enumerate(reader, 2):
         if not row:
             continue
         if len(row) != len(header):
             raise SchemaError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
-        ids.append(row[0])
-        for name, cell in zip(metric_names, row[1:-1]):
-            columns[name].append(_parse_cell(cell, path, lineno))
-        human.append(_parse_cell(row[-1], path, lineno))
-    return ids, columns, human
+        rows.append([row[0], *(_parse_cell(cell, path, lineno) for cell in row[1:])])
+    return header, rows
 
 
 def _parse_cell(cell: str, path: str, lineno: int) -> float | None:
@@ -457,7 +456,7 @@ def _parse_cell(cell: str, path: str, lineno: int) -> float | None:
 def _cmd_correlate(args: argparse.Namespace) -> int:
     from .stats import correlate_metrics
 
-    ids, columns, human = _read_score_table(args.table)
+    header, rows = _read_score_table(args.table)
 
     if args.min_directions is None:
         if args.instructions:
@@ -472,19 +471,17 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         taxonomy = _load_taxonomy(DEFAULT_TAXONOMY if args.taxonomy is None else args.taxonomy)
         records = _load_jsonl(args.instructions, taxonomy)
         instructions = _by_unique_id(records, args.instructions, "instruction")
-        unknown = [rid for rid in ids if rid not in instructions]
+        unknown = [row[0] for row in rows if row[0] not in instructions]
         if unknown:
             raise InputError(
                 "table ids missing from the instructions file: " + ", ".join(unknown)
             )
-        keep = [i for i, rid in enumerate(ids) if len(instructions[rid][1]) >= args.min_directions]
-        n_filtered = len(ids) - len(keep)
-        ids = [ids[i] for i in keep]
-        columns = {name: [col[i] for i in keep] for name, col in columns.items()}
-        human = [human[i] for i in keep]
-        _note(args, f"direction filter kept {len(ids)} rows, removed {n_filtered}")
+        kept = [row for row in rows if len(instructions[row[0]][1]) >= args.min_directions]
+        _note(args, f"direction filter kept {len(kept)} rows, removed {len(rows) - len(kept)}")
+        rows = kept
 
-    report = correlate_metrics(columns, human)
+    columns = {name: [row[i] for row in rows] for i, name in enumerate(header[1:-1], 1)}
+    report = correlate_metrics(columns, [row[-1] for row in rows])
     entries = [
         {"metric": e.metric, "pearson": e.pearson, "n": e.n} for e in report.entries
     ]

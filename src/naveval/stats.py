@@ -15,8 +15,8 @@ def _scaled(values: list[float]) -> list[float]:
     is exact, so r reads the same bits for a series whose squares and
     products stay in the float range, and is exact for one whose would
     overflow or fall to subnormals. ldexp, because 2.0 ** -e overflows for a
-    subnormal maximum. frexp gives the exponent 0 for a maximum that is 0 or
-    not finite, so such a series keeps its values.
+    subnormal maximum. frexp gives the exponent 0 for a maximum that is 0, so
+    such a series keeps its values.
     """
     e = -math.frexp(max(map(abs, values)))[1]
     return [math.ldexp(v, e) for v in values]
@@ -25,11 +25,13 @@ def _scaled(values: list[float]) -> list[float]:
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     """Pearson product-moment correlation of two equal-length series.
 
-    Raises ValueError on length mismatch, fewer than two points, or a constant
-    series (undefined correlation).
+    Raises ValueError on a value that is nan or an infinity, length mismatch,
+    fewer than two points, or a constant series (undefined correlation).
     """
     xs = [float(v) for v in x]
     ys = [float(v) for v in y]
+    if not (all(map(math.isfinite, xs)) and all(map(math.isfinite, ys))):
+        raise ValueError("values must be finite")
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
     n = len(xs)

@@ -21,6 +21,7 @@ from naveval.align import (
     target_from_word_map,
 )
 from naveval.cli import build_parser, main
+from naveval.stats import pearson
 
 HALF_SQRT2 = 0.7071067811865476
 
@@ -844,6 +845,63 @@ class TestCorrelate:
         assert code == 2
         assert out == ""
         assert f"{instructions}: duplicate instruction id 'q1'" in err
+
+    def test_repeated_metric_name_is_schema_error(self, capsys, tmp_path):
+        """Two columns of one name would correlate as one; the header names the file and the name."""
+        path = self.write_table(tmp_path, "id,m,m,human\nq1,1,3,1\nq2,2,2,3\nq3,3,1,2\n")
+        code, out, err = run_cli(capsys, "correlate", path)
+        assert (code, out) == (2, "")
+        assert err == f"naveval: error: {path}: repeated metric name 'm' in the header\n"
+
+    @pytest.mark.parametrize("header", ["id,id,human", "id,human,human"])
+    def test_metric_may_share_a_name_with_the_id_or_human_column(self, capsys, tmp_path, header):
+        path = self.write_table(tmp_path, header + "\nq1,1,1\nq2,2,3\nq3,3,2\nq4,4,4\n")
+        code, out, err = run_cli(capsys, "correlate", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"metric": header.split(",")[1], "pearson": pytest.approx(0.8, abs=1e-12), "n": 4}]
+
+    @pytest.mark.parametrize(
+        "a_text, d_text, note, n, r",
+        [
+            ("turn left", "walk on", "direction filter kept 4 rows, removed 1\n", 4, 0.8),
+            ("walk on", "turn left", "direction filter kept 3 rows, removed 2\n", 3, pearson([2, 4, 9], [3, 4, 0])),
+        ],
+        ids=["both-kept", "both-removed"],
+    )
+    def test_repeated_row_id_rows_are_independent_judgments(self, capsys, tmp_path, a_text, d_text, note, n, r):
+        """Both rows of id a count in n, and the direction filter keeps or removes them together."""
+        table = self.write_table(tmp_path, "id,m,human\na,1,1\nb,2,3\na,3,2\nc,4,4\nd,9,0\n")
+        code, out, err = run_cli(capsys, "correlate", table, "--quiet")
+        assert code == 0
+        assert [e["n"] for e in json.loads(out)] == [5]
+        instructions = tmp_path / "instr.jsonl"
+        texts = {"a": a_text, "b": "turn right", "c": "go left", "d": d_text}
+        write_jsonl(instructions, [{"id": rid, "text": text} for rid, text in texts.items()])
+        code, out, err = run_cli(
+            capsys, "correlate", table, "--min-directions", "1", "--instructions", str(instructions)
+        )
+        assert (code, err) == (0, note)
+        assert json.loads(out) == [{"metric": "m", "pearson": pytest.approx(r, abs=1e-12), "n": n}]
+
+    def test_direction_filter_runs_before_rows_with_missing_values_drop(self, capsys, tmp_path):
+        """The filter removes a row with an empty cell; a kept one with an empty cell is then dropped."""
+        table = self.write_table(
+            tmp_path,
+            "id,weak,strong,human\nq1,4,1,1\nq2,,2,5\nq3,2,,2\nq4,2,3,3\nq5,1,4,4\nq6,9,5,0\n",
+        )
+        instructions = tmp_path / "instr.jsonl"
+        texts = ["turn left", "walk on", "turn right", "go left", "turn left then right", "walk straight ahead"]
+        write_jsonl(instructions, [{"id": f"q{i}", "text": t} for i, t in enumerate(texts, 1)])
+        code, out, err = run_cli(
+            capsys, "correlate", table, "--min-directions", "1", "--instructions", str(instructions)
+        )
+        assert code == 0
+        assert err == "direction filter kept 4 rows, removed 2\ndropped 1 rows with missing values\n"
+        human = [1, 3, 4]
+        assert json.loads(out) == [
+            {"metric": "strong", "pearson": pearson([1, 3, 4], human), "n": 3},
+            {"metric": "weak", "pearson": pearson([4, 2, 1], human), "n": 3},
+        ]
 
 
 class TestUnreadableInputs:

@@ -33,6 +33,23 @@ class TestPearson:
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
     @pytest.mark.parametrize(
+        "x, y",
+        [
+            # These two returned nan.
+            ([math.inf, 1.0, 2.0], [1.0, 2.0, 3.0]),
+            ([1.0, math.nan, 2.0], [1.0, 2.0, 3.0]),
+            # This one raised fsum's "-inf + inf in fsum".
+            ([1.0, math.inf, 2.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, -math.inf]),
+        ],
+        ids=["inf-first", "nan", "inf-middle", "inf-in-y"],
+    )
+    def test_non_finite_value_rejected(self, x, y):
+        with pytest.raises(ValueError) as excinfo:
+            pearson(x, y)
+        assert str(excinfo.value) == "values must be finite"
+
+    @pytest.mark.parametrize(
         "x, expected",
         [
             # The squares overflow to inf: r read 0.0.
@@ -154,6 +171,12 @@ class TestCorrelateMetrics:
                 {"m_const": [2.0, 2.0, 2.0], "m_ok": [1.0, 2.0, 3.0]},
                 [1.0, 2.0, 3.0],
             )
+
+    def test_non_finite_value_error_names_column(self):
+        """A nan is an error that names its column, not an entry sorted wherever the column order puts it."""
+        with pytest.raises(ValueError) as excinfo:
+            correlate_metrics({"a": [1.0, 2.0, 3.0], "n": [1.0, math.nan, 2.0]}, [1.0, 2.0, 3.0])
+        assert str(excinfo.value) == "column 'n': values must be finite"
 
     def test_tied_correlations_keep_input_order(self):
         """Columns with equal r stay in mapping insertion order."""
