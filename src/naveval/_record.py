@@ -5,10 +5,10 @@ _read_text reads every input file, for the library loaders and the CLI alike.
 A Record subclass names its fields in _fields and lists them (and any caches)
 in __slots__. Assignment to an instance raises AttributeError, so fields are
 set through _set. A subclass that only stores its fields writes no __init__:
-it gets the one dataclasses would write, with the trailing fields named in
-_defaults taking their defaults. A subclass that checks or converts its
-input writes its own __init__. Equality, hash and repr cover the fields
-alone, in the form dataclasses would give them.
+it gets the one dataclasses would write, every field a required parameter.
+A subclass that checks or converts its input writes its own __init__.
+Equality, hash and repr cover the fields alone, in the form dataclasses
+would give them.
 """
 
 from __future__ import annotations
@@ -31,16 +31,15 @@ def _read_text(path: str | Path) -> str:
 class Record:
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         if "__init__" in cls.__dict__:
             return
         # Compiled, as namedtuple and dataclasses do; the names come from class bodies.
-        params = "".join(f", {name}=_defaults[{name!r}]" if name in cls._defaults else f", {name}" for name in cls._fields)
+        params = "".join(f", {name}" for name in cls._fields)
         body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
-        namespace: dict[str, object] = {"__name__": cls.__module__, "_set": _set, "_defaults": cls._defaults}
+        namespace: dict[str, object] = {"__name__": cls.__module__, "_set": _set}
         exec(f"def __init__(self{params}):{body}", namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"  # type: ignore[attr-defined]

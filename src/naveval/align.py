@@ -165,25 +165,29 @@ def validate_alignment_matrix(a: object) -> None:
 class TargetMatrix(Record):
     """Word-level alignment targets: row o copies the alignment row of the sub-instruction owning word o."""
 
-    __slots__ = _fields = ("a_prime", "word_to_sub")
+    __slots__ = _fields = ("a_prime",)
 
-    def __init__(self, a_prime: np.ndarray, word_to_sub: tuple[int, ...]) -> None:
+    def __init__(self, a_prime: np.ndarray) -> None:
         # The one 0/1 check of a target; the losses trust it, so keep a
         # read-only copy whose checked entries cannot change later.
         arr = _as_binary(np.array(a_prime), "target matrix")
         arr.flags.writeable = False
         _set(self, "a_prime", arr)
-        _set(self, "word_to_sub", word_to_sub)
+
+    def __eq__(self, other: object) -> bool:
+        # Record's tuple comparison would ask an array of booleans for one truth value.
+        if other.__class__ is self.__class__:
+            return np.array_equal(self.a_prime, other.a_prime)  # type: ignore[attr-defined]
+        return NotImplemented
 
     @classmethod
-    def _trusted(cls, a_prime: np.ndarray, word_to_sub: tuple[int, ...]) -> "TargetMatrix":
+    def _trusted(cls, a_prime: np.ndarray) -> "TargetMatrix":
         # For target_from_word_map, whose rows come from an alignment matrix it
         # has just validated, in a new array no caller holds: skips the copy
         # and the 0/1 check.
         a_prime.flags.writeable = False
         target = object.__new__(cls)
         _set(target, "a_prime", a_prime)
-        _set(target, "word_to_sub", word_to_sub)
         return target
 
 
@@ -223,20 +227,19 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
     arr = np.asarray(a)
     validate_alignment_matrix(arr)
     m = arr.shape[0]
-    owner: list[int] = []
-    for o, k in enumerate(word_to_sub):
+    owner = list(word_to_sub)
+    for o, k in enumerate(owner):
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
             raise ValueError(f"word_to_sub[{o}] must be an integer, got {k!r}")
         if not 0 <= k < m:
             raise ValueError(f"word_to_sub[{o}] = {k} out of range for {m} sub-instructions")
-        owner.append(int(k))
     if not owner:
         raise ValueError("word_to_sub must be nonempty")
     if owner != sorted(owner):
         raise ValueError("word_to_sub must be non-decreasing")
     if len(set(owner)) != m:
         raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
-    return TargetMatrix._trusted(arr.take(owner, axis=0), tuple(owner))
+    return TargetMatrix._trusted(arr.take(owner, axis=0))
 
 
 def _as_target(a_prime: object) -> np.ndarray:

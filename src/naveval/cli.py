@@ -471,11 +471,9 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
         taxonomy = _load_taxonomy(DEFAULT_TAXONOMY if args.taxonomy is None else args.taxonomy)
         records = _load_jsonl(args.instructions, taxonomy)
         instructions = _by_unique_id(records, args.instructions, "instruction")
-        unknown = [row[0] for row in rows if row[0] not in instructions]
+        unknown = dict.fromkeys(row[0] for row in rows if row[0] not in instructions)
         if unknown:
-            raise InputError(
-                "table ids missing from the instructions file: " + ", ".join(unknown)
-            )
+            raise InputError("table ids missing from the instructions file: " + ", ".join(unknown))
         kept = [row for row in rows if len(instructions[row[0]][1]) >= args.min_directions]
         _note(args, f"direction filter kept {len(kept)} rows, removed {len(rows) - len(kept)}")
         rows = kept

@@ -28,10 +28,6 @@ class KnowledgeFact(Record):
         _set(self, "weight", weight)
 
 
-class KnowledgeBaseError(ValueError):
-    """Raised for malformed knowledge-base files."""
-
-
 # A checked fact as the index holds it: (head, relation, tail, weight).
 _Row = tuple[str, str, str, float]
 
@@ -84,7 +80,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
             continue
         rows.append((head, relation, tail, weight))
     if problems:
-        raise KnowledgeBaseError(f"{path}: " + "; ".join(problems))
+        raise ValueError(f"{path}: " + "; ".join(problems))
     return KnowledgeBase(rows)
 
 

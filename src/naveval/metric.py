@@ -121,7 +121,6 @@ class ScoreReport(Record):
         "n_dir_matches",
         "direction_only",
     )
-    _defaults = {"direction_only": False}
 
 
 def spice_d_score(

@@ -57,7 +57,7 @@ class MetricCorrelation(Record):
 class CorrelationReport(Record):
     """Per-metric correlations sorted best-first, plus row-deletion bookkeeping."""
 
-    __slots__ = _fields = ("entries", "n_used", "n_dropped")
+    __slots__ = _fields = ("entries", "n_dropped")
 
 
 def correlate_metrics(
@@ -87,6 +87,8 @@ def correlate_metrics(
         raise ValueError(f"need at least two complete rows, got {n_used}")
 
     human_kept = [float(human[i]) for i in keep]  # type: ignore[arg-type]
+    if not all(map(math.isfinite, human_kept)):
+        raise ValueError("human column: values must be finite")
     entries = []
     for name, column in metric_columns.items():
         try:
@@ -95,4 +97,4 @@ def correlate_metrics(
             raise ValueError(f"column {name!r}: {exc}") from None
         entries.append(MetricCorrelation(metric=name, pearson=r, n=n_used))
     entries.sort(key=lambda e: -e.pearson)
-    return CorrelationReport(entries=tuple(entries), n_used=n_used, n_dropped=n_rows - n_used)
+    return CorrelationReport(entries=tuple(entries), n_dropped=n_rows - n_used)

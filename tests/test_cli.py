@@ -796,6 +796,22 @@ class TestCorrelate:
         assert code == 1
         assert "q9" in err
 
+    def test_missing_table_id_named_once_in_first_order(self, tmp_path):
+        """An id on two rows reads the same instruction, so it is missing once."""
+        table = self.write_table(tmp_path, "id,m,human\nq9,1,1\nq1,2,2\nq7,3,3\nq9,4,4\n")
+        instructions = tmp_path / "instr.jsonl"
+        write_jsonl(instructions, [{"id": "q1", "text": "turn left"}])
+        proc = subprocess.run(
+            [sys.executable, "-m", "naveval", "correlate", table, "--min-directions", "1", "--instructions", str(instructions)],
+            capture_output=True,
+            text=True,
+            env=_naveval_env(),
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr == "naveval: error: table ids missing from the instructions file: q9, q7\n"
+        assert proc.stdout == ""
+
     def test_instructions_requires_min_directions(self, capsys, tmp_path):
         table = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,2,2\n")
         instructions = tmp_path / "instr.jsonl"

@@ -16,11 +16,11 @@ WRITTEN = [Instruction, DirectionTaxonomy, KnowledgeFact, TargetMatrix, ScoringI
 
 
 @pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
-def test_signature_is_the_fields_in_order_with_their_defaults(cls):
+def test_signature_is_the_fields_in_order_with_no_defaults(cls):
     params = inspect.signature(cls).parameters.values()
     assert tuple(p.name for p in params) == cls._fields
     assert all(p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD for p in params)
-    assert {p.name: p.default for p in params if p.default is not inspect.Parameter.empty} == cls._defaults
+    assert all(p.default is inspect.Parameter.empty for p in params)
 
 
 @pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
@@ -37,19 +37,19 @@ def test_missing_argument_is_a_type_error():
 
 def test_unknown_keyword_is_a_type_error():
     with pytest.raises(TypeError) as excinfo:
-        CorrelationReport(entries=(), n_used=2, n_dropped=0, n_filtered=0)
+        CorrelationReport(entries=(), n_dropped=0, n_filtered=0)
     assert str(excinfo.value) == "CorrelationReport.__init__() got an unexpected keyword argument 'n_filtered'"
 
 
-def test_trailing_defaults_of_a_new_type():
+def test_every_field_of_a_new_type_is_required():
     class Pair(Record):
-        __slots__ = _fields = ("left", "right", "weight")
-        _defaults = {"right": None, "weight": 1.0}
+        __slots__ = _fields = ("left", "right")
 
-    assert Pair("a") == Pair("a", None, 1.0) == Pair(left="a", weight=1.0)
-    assert Pair("a", "b")._values() == ("a", "b", 1.0)
-    with pytest.raises(TypeError):
-        Pair()
+    assert Pair("a", "b") == Pair(right="b", left="a")
+    assert Pair("a", "b")._values() == ("a", "b")
+    with pytest.raises(TypeError) as excinfo:
+        Pair("a")
+    assert str(excinfo.value).endswith("Pair.__init__() missing 1 required positional argument: 'right'")
 
 
 @pytest.mark.parametrize("cls", WRITTEN, ids=lambda cls: cls.__name__)

@@ -9,7 +9,7 @@ import pickle
 
 import pytest
 
-from naveval.align import TargetMatrix
+from naveval.align import TargetMatrix, target_from_word_map
 from naveval.knowledge import KnowledgeFact
 from naveval.metric import ScoreReport, ScoringInput
 from naveval.stats import CorrelationReport, MetricCorrelation
@@ -28,6 +28,7 @@ REPORT = dict(
     n_cand_dirs=0,
     n_ref_dirs=2,
     n_dir_matches=0,
+    direction_only=False,
 )
 
 # (class, keyword arguments, one field changed, repr, keyword arguments that must raise)
@@ -48,9 +49,9 @@ CASES = [
     ),
     (
         CorrelationReport,
-        dict(entries=(MetricCorrelation(metric="spice_d", pearson=0.5, n=3),), n_used=3, n_dropped=1),
+        dict(entries=(MetricCorrelation(metric="spice_d", pearson=0.5, n=3),), n_dropped=1),
         dict(n_dropped=0),
-        "CorrelationReport(entries=(MetricCorrelation(metric='spice_d', pearson=0.5, n=3),), n_used=3, n_dropped=1)",
+        "CorrelationReport(entries=(MetricCorrelation(metric='spice_d', pearson=0.5, n=3),), n_dropped=1)",
         None,
     ),
     (
@@ -85,10 +86,10 @@ CASES = [
     ),
     (
         TargetMatrix,
-        dict(a_prime=[[1]], word_to_sub=(0,)),
-        dict(word_to_sub=(1,)),
-        "TargetMatrix(a_prime=array([[1]]), word_to_sub=(0,))",
-        dict(a_prime=[[1, 2]], word_to_sub=(0,)),
+        dict(a_prime=[[1]]),
+        dict(a_prime=[[0]]),
+        "TargetMatrix(a_prime=array([[1]]))",
+        dict(a_prime=[[1, 2]]),
     ),
 ]
 
@@ -124,9 +125,20 @@ def test_record_behaves_as_a_frozen_value(cls, kwargs, changed, text, invalid):
 
 
 def test_defaults():
-    assert ScoreReport(**REPORT).direction_only is False
     item = ScoringInput(Instruction("left", ("left",), ((0, 4),)))
     assert item.tuples is None and item.directions is None
+
+
+def test_target_matrix_equality_compares_shape_and_entries():
+    """A 1x1 array compares as one bool; a larger one needs np.array_equal."""
+    target = target_from_word_map([[1, 0], [0, 1]], [0, 1])
+    assert copy.copy(target) == target
+    assert pickle.loads(pickle.dumps(target)) == target
+    assert target == TargetMatrix([[1, 0], [0, 1]])
+    assert target != target_from_word_map([[1, 1], [0, 1]], [0, 1])
+    assert target != target_from_word_map([[1, 0], [0, 1]], [0, 0, 1])
+    with pytest.raises(TypeError):
+        hash(target)
 
 
 def test_taxonomy_caches_stay_out_of_equality_and_repr():

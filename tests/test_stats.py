@@ -133,7 +133,7 @@ class TestCorrelateMetrics:
         assert [e.metric for e in report.entries] == ["exact", "noisy"]
         assert abs(report.entries[0].pearson - 1.0) < 1e-12
         assert abs(report.entries[1].pearson - 0.8) < 1e-12
-        assert report.n_used == 4
+        assert [e.n for e in report.entries] == [4, 4]
         assert report.n_dropped == 0
 
     def test_rows_with_missing_values_dropped(self):
@@ -145,7 +145,6 @@ class TestCorrelateMetrics:
             },
             [1.0, 7.0, 3.0, 4.0, 5.0],
         )
-        assert report.n_used == 4
         assert report.n_dropped == 1
         for entry in report.entries:
             assert abs(entry.pearson - 1.0) < 1e-12
@@ -153,7 +152,7 @@ class TestCorrelateMetrics:
 
     def test_two_complete_rows_are_enough(self):
         report = correlate_metrics({"m": [1.0, None, 3.0]}, [2.0, 5.0, 4.0])
-        assert (report.n_used, report.n_dropped) == (2, 1)
+        assert report.n_dropped == 1
         assert report.entries == (MetricCorrelation(metric="m", pearson=1.0, n=2),)
 
     def test_no_metric_columns(self):
@@ -177,6 +176,12 @@ class TestCorrelateMetrics:
         with pytest.raises(ValueError) as excinfo:
             correlate_metrics({"a": [1.0, 2.0, 3.0], "n": [1.0, math.nan, 2.0]}, [1.0, 2.0, 3.0])
         assert str(excinfo.value) == "column 'n': values must be finite"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_human_value_names_the_human_column(self, bad):
+        with pytest.raises(ValueError) as excinfo:
+            correlate_metrics({"m": [1.0, 2.0, 3.0]}, [1.0, bad, 3.0])
+        assert str(excinfo.value) == "human column: values must be finite"
 
     def test_tied_correlations_keep_input_order(self):
         """Columns with equal r stay in mapping insertion order."""
