@@ -341,6 +341,18 @@ def _softmax(logits: np.ndarray, norm: np.ndarray) -> np.ndarray:
     return np.exp(logits, out=logits)
 
 
+def alignment_losses(words: object, panoramas: object, a_prime: object, eps: float = DEFAULT_EPS) -> tuple[float, float]:
+    """Both losses, (l_att, l_nce), from one log-softmax of the word-panorama products.
+
+    The same bits as attention_coverage_loss(softmax_attention(words,
+    panoramas), a_prime, eps) and contrastive_loss(panoramas, words, a_prime).
+    """
+    # l_nce reads the products before _softmax overwrites them.
+    logits, norm = _log_softmax(words, panoramas)
+    l_nce = _contrastive_loss(logits, norm, a_prime)
+    return attention_coverage_loss(_softmax(logits, norm), a_prime, eps), l_nce
+
+
 def total_loss(
     ce: float,
     l_att: float,

@@ -364,10 +364,7 @@ def _cmd_align(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise SchemaError(f"{args.features}: {exc}") from None
 
-    # One log-softmax for both losses: l_nce reads it before _softmax overwrites it.
-    logits, norm = align._log_softmax(words, doc["panoramas"])
-    l_nce = align._contrastive_loss(logits, norm, target)
-    l_att = align.attention_coverage_loss(align._softmax(logits, norm), target, eps=eps)
+    l_att, l_nce = align.alignment_losses(words, doc["panoramas"], target, eps)
     total = align.total_loss(args.ce, l_att, l_nce, lambda1, lambda2)
 
     out_doc = {

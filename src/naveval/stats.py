@@ -15,8 +15,7 @@ def _scaled(values: list[float]) -> list[float]:
     is exact, so r reads the same bits for a series whose squares and
     products stay in the float range, and is exact for one whose would
     overflow or fall to subnormals. ldexp, because 2.0 ** -e overflows for a
-    subnormal maximum. frexp gives the exponent 0 for a maximum that is 0, so
-    such a series keeps its values.
+    subnormal maximum.
     """
     e = -math.frexp(max(map(abs, values)))[1]
     return [math.ldexp(v, e) for v in values]
@@ -37,6 +36,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     n = len(xs)
     if n < 2:
         raise ValueError("at least two points are required")
+    if min(xs) == max(xs) or min(ys) == max(ys):  # exactly: the float mean of equal values need not equal them
+        raise ValueError("correlation is undefined for a constant series")
     xs, ys = _scaled(xs), _scaled(ys)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
@@ -44,10 +45,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     dy = [v - my for v in ys]
     sxx = math.fsum(d * d for d in dx)
     syy = math.fsum(d * d for d in dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise ValueError("correlation is undefined for a constant series")
     sxy = math.fsum(a * b for a, b in zip(dx, dy))
-    return sxy / math.sqrt(sxx * syy)
+    return max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))  # as scipy.stats.pearsonr: rounding can pass ±1
 
 
 class MetricCorrelation(Record):
@@ -89,6 +88,8 @@ def correlate_metrics(
     human_kept = [float(human[i]) for i in keep]  # type: ignore[arg-type]
     if not all(map(math.isfinite, human_kept)):
         raise ValueError("human column: values must be finite")
+    if min(human_kept) == max(human_kept):
+        raise ValueError("human column: correlation is undefined for a constant series")
     entries = []
     for name, column in metric_columns.items():
         try:

@@ -1,10 +1,11 @@
 """The alignment chain gives the same bits as the straightforward versions kept here.
 
 tokenize -> chunk_instruction -> build_cost -> dtw_align -> expand_alignment ->
-softmax_attention -> attention_coverage_loss -> contrastive_loss -> total_loss
-is run on seeded R2R-size (5x6, 29 words), 25x150 and 50x300 documents with
-float32, float64 and list inputs. Arrays are compared with .tobytes(), so a
--0.0 where the reference has +0.0 counts as a difference; losses with ==.
+softmax_attention -> attention_coverage_loss -> contrastive_loss -> total_loss,
+with alignment_losses beside the two losses, is run on seeded R2R-size (5x6,
+29 words), 25x150 and 50x300 documents with float32, float64 and list inputs.
+Arrays are compared with .tobytes(), so a -0.0 where the reference has +0.0
+counts as a difference; losses with ==.
 """
 
 import random
@@ -15,6 +16,7 @@ import pytest
 
 from naveval.align import (
     TargetMatrix,
+    alignment_losses,
     attention_coverage_loss,
     build_cost,
     contrastive_loss,
@@ -194,6 +196,9 @@ def test_chain_matches_reference_bit_for_bit(shape, seed, kind):
     assert l_att == ref_attention_coverage_loss(beta, ref_target)
     l_nce = contrastive_loss(panos, words, target)
     assert l_nce == ref_contrastive_loss(panos, words, ref_target)
+    # Both eps values clamp some words on these documents.
+    assert alignment_losses(words, panos, target) == (l_att, l_nce)
+    assert alignment_losses(words, panos, target, 0.5) == (attention_coverage_loss(beta, target, 0.5), l_nce)
     assert total_loss(ce, l_att, l_nce) == ref_total_loss(ce, l_att, l_nce)
     assert total_loss(ce, l_att, l_nce, 0.5, 2.0) == ref_total_loss(ce, l_att, l_nce, 0.5, 2.0)
 

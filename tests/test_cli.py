@@ -373,9 +373,9 @@ class TestAlign:
         beta = softmax_attention(FEATURES["words"], FEATURES["panoramas"])
         l_att = attention_coverage_loss(beta, target)
         l_nce = contrastive_loss(FEATURES["panoramas"], FEATURES["words"], target)
-        assert abs(doc["l_att"] - l_att) < 1e-12
-        assert abs(doc["l_nce"] - l_nce) < 1e-12
-        assert abs(doc["total_loss"] - (0.25 + l_att + l_nce)) < 1e-12
+        assert doc["l_att"] == l_att
+        assert doc["l_nce"] == l_nce
+        assert doc["total_loss"] == 0.25 + l_att + l_nce
 
     def test_zero_loss_prints_unsigned(self, capsys, tmp_path):
         doc = {"sub_instructions": [[1, 0]], "panoramas": [[1, 0]], "words": [[1, 0]], "word_to_sub": [0]}
@@ -644,6 +644,21 @@ class TestCorrelate:
         assert (code, err) == (0, "")
         (entry,) = json.loads(out)
         assert abs(entry["pearson"] - expected) < 1e-15
+
+    @pytest.mark.parametrize("human", ["0.7", "5"])
+    def test_constant_human_column_is_exit_1_naming_it(self, capsys, tmp_path, human):
+        """0.7, 0.7, 0.7 printed "pearson": 0.0, and 5, 5, 5 blamed column 'm'."""
+        path = self.write_table(tmp_path, "id,m,human\n" + "".join(f"q{i},{i},{human}\n" for i in range(3)))
+        assert run_cli(capsys, "correlate", path) == (
+            1, "", "naveval: error: human column: correlation is undefined for a constant series\n"
+        )
+
+    def test_exactly_linear_columns_read_one(self, capsys, tmp_path):
+        """This table printed 1.0000000000000002."""
+        path = self.write_table(tmp_path, "id,m,human\nq1,1,0.7\nq2,2,1.4\nq3,3,2.1\nq4,4,2.8\n")
+        code, out, err = run_cli(capsys, "correlate", path)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == [{"metric": "m", "pearson": 1.0, "n": 4}]
 
     def test_single_complete_row_fails(self, capsys, tmp_path):
         path = self.write_table(tmp_path, "id,m,human\nq1,1,1\nq2,,3\n")

@@ -32,6 +32,22 @@ class TestPearson:
         with pytest.raises(ValueError, match="constant"):
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
+    @pytest.mark.parametrize("n", [3, 6])
+    @pytest.mark.parametrize("value", [0.1, 0.7, 3.3])
+    def test_constant_series_whose_float_mean_is_not_its_value(self, value, n):
+        """These returned 0.0: the float mean missed the value, so syy was a few ulp squared, not 0."""
+        ramp = [float(i) for i in range(n)]
+        for x, y in ((ramp, [value] * n), ([value] * n, ramp)):
+            with pytest.raises(ValueError) as excinfo:
+                pearson(x, y)
+            assert str(excinfo.value) == "correlation is undefined for a constant series"
+
+    def test_exactly_linear_series_reads_one(self):
+        """These read 1.0000000000000002 and -1.0000000000000002."""
+        x = [1.0, 2.0, 3.0, 4.0]
+        assert pearson(x, [0.7, 1.4, 2.1, 2.8]) == 1.0
+        assert pearson(x, [-0.7, -1.4, -2.1, -2.8]) == -1.0
+
     @pytest.mark.parametrize(
         "x, y",
         [
@@ -121,7 +137,7 @@ class TestPearson:
                 r = pearson(x, y)
             except ValueError:
                 continue
-            assert -1.0 - 1e-12 <= r <= 1.0 + 1e-12
+            assert -1.0 <= r <= 1.0
 
 
 class TestCorrelateMetrics:
@@ -170,6 +186,12 @@ class TestCorrelateMetrics:
                 {"m_const": [2.0, 2.0, 2.0], "m_ok": [1.0, 2.0, 3.0]},
                 [1.0, 2.0, 3.0],
             )
+
+    def test_constant_human_column_is_named(self):
+        """This blamed column 'm', the first column it was correlated with."""
+        with pytest.raises(ValueError) as excinfo:
+            correlate_metrics({"m": [1.0, 2.0, 3.0], "n": [3.0, 1.0, 2.0]}, [5.0, 5.0, 5.0])
+        assert str(excinfo.value) == "human column: correlation is undefined for a constant series"
 
     def test_non_finite_value_error_names_column(self):
         """A nan is an error that names its column, not an entry sorted wherever the column order puts it."""
