@@ -4,11 +4,14 @@ _read_text reads every input file, for the library loaders and the CLI alike.
 
 A Record subclass names its fields in _fields and lists them (and any caches)
 in __slots__. Assignment to an instance raises AttributeError, so fields are
-set through _set. A subclass that only stores its fields writes no __init__:
-it gets the one dataclasses would write, every field a required parameter.
-A subclass that checks or converts its input writes its own __init__.
-Equality, hash and repr cover the fields alone, in the form dataclasses
-would give them.
+set through _set. A subclass is built in one of three ways. One that only
+stores its fields writes no __init__: it gets the one dataclasses would write,
+every field a required parameter. One that checks its fields as given defines
+a static _check(*fields) that this generated __init__ calls first. One that
+converts its input writes its own __init__. _checked(*values) stores values
+with neither __init__ nor _check: only the class's own module calls it, on
+values it has just built or checked. Equality, hash and repr cover the fields
+alone, in the form dataclasses would give them.
 """
 
 from __future__ import annotations
@@ -37,13 +40,21 @@ class Record:
         if "__init__" in cls.__dict__:
             return
         # Compiled, as namedtuple and dataclasses do; the names come from class bodies.
-        params = "".join(f", {name}" for name in cls._fields)
-        body = "".join(f"\n    _set(self, {name!r}, {name})" for name in cls._fields)
+        params = ", ".join(cls._fields)
+        lines = [f"self._check({params})"] if hasattr(cls, "_check") else []
+        lines += [f"_set(self, {name!r}, {name})" for name in cls._fields]
         namespace: dict[str, object] = {"__name__": cls.__module__, "_set": _set}
-        exec(f"def __init__(self{params}):{body}", namespace)
+        exec(f"def __init__(self, {params}):\n    " + "\n    ".join(lines), namespace)
         init = namespace["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"  # type: ignore[attr-defined]
         cls.__init__ = init  # type: ignore[misc]
+
+    @classmethod
+    def _checked(cls, *values: object) -> "Record":
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values, strict=True):
+            _set(record, name, value)
+        return record
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

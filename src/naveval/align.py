@@ -180,16 +180,6 @@ class TargetMatrix(Record):
             return np.array_equal(self.a_prime, other.a_prime)  # type: ignore[attr-defined]
         return NotImplemented
 
-    @classmethod
-    def _trusted(cls, a_prime: np.ndarray) -> "TargetMatrix":
-        # For target_from_word_map, whose rows come from an alignment matrix it
-        # has just validated, in a new array no caller holds: skips the copy
-        # and the 0/1 check.
-        a_prime.flags.writeable = False
-        target = object.__new__(cls)
-        _set(target, "a_prime", a_prime)
-        return target
-
 
 def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) -> TargetMatrix:
     """Expand a sub-instruction alignment to word level via the chunk spans.
@@ -239,7 +229,10 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
         raise ValueError("word_to_sub must be non-decreasing")
     if len(set(owner)) != m:
         raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
-    return TargetMatrix._trusted(arr.take(owner, axis=0))
+    # Rows of the matrix just validated, in a new array no caller holds: no copy, no second 0/1 check.
+    a_prime = arr.take(owner, axis=0)
+    a_prime.flags.writeable = False
+    return TargetMatrix._checked(a_prime)
 
 
 def _as_target(a_prime: object) -> np.ndarray:

@@ -351,20 +351,23 @@ def _cmd_align(args: argparse.Namespace) -> int:
     if not isinstance(word_to_sub, list):
         raise SchemaError(f"{args.features}: 'word_to_sub' must be a list of integers")
 
-    a = align.dtw_align(align.build_cost(doc["sub_instructions"], doc["panoramas"]))
-
-    words = doc["words"]
-    if not isinstance(words, list) or len(words) != len(word_to_sub):
-        raise SchemaError(
-            f"{args.features}: 'word_to_sub' must map every word "
-            f"({len(word_to_sub)} entries for {len(words) if isinstance(words, list) else '?'} words)"
-        )
-    try:
-        target = align.target_from_word_map(a, word_to_sub)
+    try:  # build_cost, dtw_align and alignment_losses check the feature matrices: exit 1, naming the file
+        a = align.dtw_align(align.build_cost(doc["sub_instructions"], doc["panoramas"]))
+        words = doc["words"]
+        if not isinstance(words, list) or len(words) != len(word_to_sub):
+            raise SchemaError(
+                f"{args.features}: 'word_to_sub' must map every word "
+                f"({len(word_to_sub)} entries for {len(words) if isinstance(words, list) else '?'} words)"
+            )
+        try:
+            target = align.target_from_word_map(a, word_to_sub)
+        except ValueError as exc:
+            raise SchemaError(f"{args.features}: {exc}") from None
+        if not 0.0 < eps < float("inf"):  # the loss's own check, raised here so that it names no file
+            raise InputError(f"eps must be positive and finite, got {eps!r}")
+        l_att, l_nce = align.alignment_losses(words, doc["panoramas"], target, eps)
     except ValueError as exc:
-        raise SchemaError(f"{args.features}: {exc}") from None
-
-    l_att, l_nce = align.alignment_losses(words, doc["panoramas"], target, eps)
+        raise InputError(f"{args.features}: {exc}") from None
     total = align.total_loss(args.ce, l_att, l_nce, lambda1, lambda2)
 
     out_doc = {

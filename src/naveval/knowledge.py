@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ._record import Record, _read_text, _set
+from ._record import Record, _read_text
 
 DEFAULT_TOP_K = 3
 
@@ -19,13 +19,7 @@ def _check_fact(head: str, relation: str, tail: str, weight: float) -> None:
 
 class KnowledgeFact(Record):
     __slots__ = _fields = ("head", "relation", "tail", "weight")
-
-    def __init__(self, head: str, relation: str, tail: str, weight: float) -> None:
-        _check_fact(head, relation, tail, weight)
-        _set(self, "head", head)
-        _set(self, "relation", relation)
-        _set(self, "tail", tail)
-        _set(self, "weight", weight)
+    _check = staticmethod(_check_fact)
 
 
 # A checked fact as the index holds it: (head, relation, tail, weight).
@@ -93,4 +87,4 @@ def retrieve_facts(kb: KnowledgeBase, entity: str, k: int = DEFAULT_TOP_K) -> li
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ranked = sorted(kb._rows(entity), key=lambda row: (-row[3], row[1], row[2]))
-    return [KnowledgeFact(*row) for row in ranked[:k]]
+    return [KnowledgeFact._checked(*row) for row in ranked[:k]]

@@ -32,7 +32,8 @@ class Instruction(Record):
 
     __slots__ = _fields = ("raw", "tokens", "spans")
 
-    def __init__(self, raw: str, tokens: tuple[str, ...], spans: tuple[tuple[int, int], ...]) -> None:
+    @staticmethod
+    def _check(raw: str, tokens: tuple[str, ...], spans: tuple[tuple[int, int], ...]) -> None:
         if len(tokens) != len(spans):
             raise ValueError("tokens and spans must have equal length")
         prev_end = 0
@@ -42,9 +43,6 @@ class Instruction(Record):
             if not (0 <= start < end <= len(raw)) or start < prev_end:
                 raise ValueError("token spans must be strictly increasing and within the raw text")
             prev_end = end
-        _set(self, "raw", raw)
-        _set(self, "tokens", tokens)
-        _set(self, "spans", spans)
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -73,7 +71,7 @@ def tokenize(raw: str) -> Instruction:
         start = spaced.index(word, end)
         end = start + len(word)
         spans.append((start, end))
-    return Instruction(raw, tuple(spaced.lower().split()), tuple(spans))
+    return Instruction._checked(raw, tuple(spaced.lower().split()), tuple(spans))
 
 
 def _words(raw: str) -> tuple[str, ...]:

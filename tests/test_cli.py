@@ -455,6 +455,26 @@ class TestAlign:
         assert code == 1
         assert "dimension" in err
 
+    def test_non_finite_panorama_names_the_file(self, capsys, tmp_path):
+        panoramas = [[1.0, 0.0], [math.nan, HALF_SQRT2], [0.0, 1.0]]
+        path = self.write_features(tmp_path, dict(FEATURES, panoramas=panoramas))
+        code, out, err = run_cli(capsys, "align", path)
+        assert (code, out) == (1, "")
+        assert err == f"naveval: error: {path}: panoramas must contain only finite values\n"
+
+    def test_words_width_mismatch_names_the_file(self, capsys, tmp_path):
+        rng = np.random.default_rng(5)
+        doc = {
+            "sub_instructions": rng.standard_normal((2, 512)).tolist(),
+            "panoramas": rng.standard_normal((3, 512)).tolist(),
+            "words": rng.standard_normal((3, 511)).tolist(),
+            "word_to_sub": [0, 0, 1],
+        }
+        path = self.write_features(tmp_path, doc)
+        code, out, err = run_cli(capsys, "align", path)
+        assert (code, out) == (1, "")
+        assert err == f"naveval: error: {path}: dimension mismatch: words have 511, panoramas have 512\n"
+
     def test_zero_norm_vector(self, capsys, tmp_path):
         doc = dict(FEATURES, sub_instructions=[[1.0, 0.0], [0.0, 0.0]])
         path = self.write_features(tmp_path, doc)
@@ -1220,6 +1240,25 @@ class TestKbQuery:
         )
         assert code == 1
 
+    def test_each_fact_checked_once(self, capsys, kb_fixture_path, monkeypatch):
+        """load_kb checks each fact line; the facts printed are built from its checked rows."""
+        import naveval.knowledge
+
+        calls = []
+        check_fact = naveval.knowledge._check_fact
+
+        def counting(head, relation, tail, weight):
+            calls.append(head)
+            check_fact(head, relation, tail, weight)
+
+        monkeypatch.setattr(naveval.knowledge, "_check_fact", counting)
+        monkeypatch.setattr(naveval.knowledge.KnowledgeFact, "_check", staticmethod(counting), raising=False)
+        lines = kb_fixture_path.read_text(encoding="utf-8").splitlines()
+        n_facts = sum(1 for line in lines if line.strip() and not line.strip().startswith("#"))
+        code, out, _ = run_cli(capsys, "kb", "query", "--kb", str(kb_fixture_path), "--entity", "microwave")
+        assert (code, len(out.splitlines())) == (0, 3)
+        assert len(calls) == n_facts
+
     def test_invalid_k(self, capsys, kb_fixture_path):
         code, _, err = run_cli(
             capsys, "kb", "query", "--kb", str(kb_fixture_path), "--entity", "sink", "--k", "0"
@@ -1238,7 +1277,10 @@ class TestKbQuery:
     ],
 )
 def test_failed_library_check_is_exit_1_with_its_message(capsys, tmp_path, kb_fixture_path, case, message):
-    """main() turns the library's ValueError into one error line: no file, no line, no traceback."""
+    """main() turns the library's ValueError into one error line, with no traceback.
+
+    Only a check of align's feature matrices names the file those come from.
+    """
     features = tmp_path / "features.json"
     zero_norm_row = dict(FEATURES, sub_instructions=[[1.0, 0.0], [0.0, 0.0]])
     features.write_text(json.dumps(zero_norm_row if case == "align-zero-norm-row" else FEATURES), encoding="utf-8")
@@ -1251,6 +1293,8 @@ def test_failed_library_check_is_exit_1_with_its_message(capsys, tmp_path, kb_fi
         "align-eps-0": ["align", str(features), "--eps", "0"],
         "align-zero-norm-row": ["align", str(features)],
     }[case]
+    if case == "align-zero-norm-row":
+        message = f"{features}: {message}"
     assert run_cli(capsys, *argv) == (1, "", f"naveval: error: {message}\n")
 
 

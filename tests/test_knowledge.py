@@ -227,3 +227,26 @@ class TestKnowledgeFact:
             KnowledgeFact(head="", relation="AtLocation", tail="kitchen", weight=1.0)
         with pytest.raises(ValueError):
             KnowledgeFact(head="sofa", relation="AtLocation", tail="kitchen", weight=float("inf"))
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            (("", "AtLocation", "kitchen", 1.0), "fact fields must be nonempty"),
+            (("sofa", "", "kitchen", 1.0), "fact fields must be nonempty"),
+            (("sofa", "AtLocation", "", 1.0), "fact fields must be nonempty"),
+            (("sofa", "AtLocation", "kitchen", float("nan")), "fact weight must be finite, got nan"),
+            (("sofa", "AtLocation", "kitchen", float("-inf")), "fact weight must be finite, got -inf"),
+        ],
+    )
+    def test_hand_built_fact_keeps_every_check(self, fields, message):
+        with pytest.raises(ValueError) as excinfo:
+            KnowledgeFact(*fields)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            KnowledgeFact(**dict(zip(KnowledgeFact._fields, fields)))
+        assert str(excinfo.value) == message
+
+    def test_keyword_construction(self):
+        fact = KnowledgeFact(weight=2.5, tail="kitchen", relation="AtLocation", head="sofa")
+        assert fact == KnowledgeFact("sofa", "AtLocation", "kitchen", 2.5)
+        assert (fact.head, fact.relation, fact.tail, fact.weight) == ("sofa", "AtLocation", "kitchen", 2.5)

@@ -1,4 +1,4 @@
-"""The constructor Record writes for a value type that only stores its fields."""
+"""The constructor Record writes for a value type that only stores its fields, or checks them first."""
 
 import inspect
 
@@ -11,8 +11,10 @@ from naveval.metric import ScoreReport, ScoringInput
 from naveval.stats import CorrelationReport, MetricCorrelation
 from naveval.text import DirectionTaxonomy, Instruction
 
-GENERATED = [ScoreReport, MetricCorrelation, CorrelationReport]
-WRITTEN = [Instruction, DirectionTaxonomy, KnowledgeFact, TargetMatrix, ScoringInput]
+# CHECKED types define _check, which their generated __init__ runs first.
+CHECKED = [Instruction, KnowledgeFact]
+GENERATED = [ScoreReport, MetricCorrelation, CorrelationReport, *CHECKED]
+WRITTEN = [DirectionTaxonomy, TargetMatrix, ScoringInput]
 
 
 @pytest.mark.parametrize("cls", GENERATED, ids=lambda cls: cls.__name__)
@@ -50,6 +52,48 @@ def test_every_field_of_a_new_type_is_required():
     with pytest.raises(TypeError) as excinfo:
         Pair("a")
     assert str(excinfo.value).endswith("Pair.__init__() missing 1 required positional argument: 'right'")
+
+
+@pytest.mark.parametrize("cls", CHECKED, ids=lambda cls: cls.__name__)
+def test_a_type_with_a_check_gets_the_generated_init(cls):
+    assert cls.__init__.__code__.co_filename == "<string>"
+    assert "_check" in cls.__dict__
+
+
+def test_generated_init_of_a_new_type_runs_its_check():
+    seen = []
+
+    class Ordered(Record):
+        __slots__ = _fields = ("low", "high")
+
+        @staticmethod
+        def _check(low, high):
+            seen.append((low, high))
+            if low > high:
+                raise ValueError("low must not exceed high")
+
+    assert Ordered(1, 2) == Ordered(high=2, low=1)
+    assert seen == [(1, 2), (1, 2)]
+    with pytest.raises(ValueError) as excinfo:
+        Ordered(2, 1)
+    assert str(excinfo.value) == "low must not exceed high"
+
+
+def test_checked_stores_the_values_without_init_or_check():
+    class Ordered(Record):
+        __slots__ = _fields = ("low", "high")
+
+        @staticmethod
+        def _check(low, high):
+            raise AssertionError("_checked ran the check")
+
+    record = Ordered._checked(2, 1)
+    assert record.__class__ is Ordered
+    assert record._values() == (2, 1)
+    with pytest.raises(AttributeError):
+        record.low = 0
+    with pytest.raises(ValueError):
+        Ordered._checked(2)
 
 
 @pytest.mark.parametrize("cls", WRITTEN, ids=lambda cls: cls.__name__)

@@ -156,6 +156,44 @@ class TestTokenize:
             Instruction(raw="a b", tokens=("a",), spans=((0, 1), (2, 3)))
         assert str(excinfo.value) == "tokens and spans must have equal length"
 
+    @pytest.mark.parametrize(
+        "tokens, spans, message",
+        [
+            (("a", "b"), ((0, 1), (0, 1)), "token spans must be strictly increasing and within the raw text"),
+            (("a",), ((1, 3),), "token spans must be strictly increasing and within the raw text"),
+            (("a b",), ((0, 2),), "invalid token 'a b': tokens must be nonempty and whitespace-free"),
+            (("",), ((0, 1),), "invalid token '': tokens must be nonempty and whitespace-free"),
+        ],
+    )
+    def test_hand_built_instruction_keeps_every_check(self, tokens, spans, message):
+        with pytest.raises(ValueError) as excinfo:
+            Instruction(raw="ab", tokens=tokens, spans=spans)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            Instruction("ab", tokens, spans)
+        assert str(excinfo.value) == message
+
+    def test_keyword_construction(self):
+        ins = Instruction(spans=((0, 4), (5, 9)), raw="Turn left", tokens=("turn", "left"))
+        assert ins == Instruction("Turn left", ("turn", "left"), ((0, 4), (5, 9))) == tokenize("Turn left")
+
+    def test_tokenize_runs_no_instruction_check(self, monkeypatch):
+        """tokenize builds its tokens and spans valid, so it stores them unchecked; a hand-built one is checked."""
+        calls = []
+        check = Instruction._check
+
+        def counting(raw, tokens, spans):
+            calls.append(raw)
+            check(raw, tokens, spans)
+
+        monkeypatch.setattr(Instruction, "_check", staticmethod(counting))
+        for raw in ["", "Turn left, then walk past the sofa.", "ΑΣ.Β İx", "a" * 1000]:
+            ins = tokenize(raw)
+            assert ins.raw == raw and len(ins.tokens) == len(ins.spans)
+        assert calls == []
+        Instruction(ins.raw, ins.tokens, ins.spans)
+        assert calls == [ins.raw]
+
 
 class TestTaxonomy:
     def test_bundled_taxonomies_load(self):
