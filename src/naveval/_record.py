@@ -1,6 +1,8 @@
-"""What every naveval module shares: its file reader and its value-type base.
+"""What every naveval module shares: its file reader, its word fold and its value-type base.
 
 _read_text reads every input file, for the library loaders and the CLI alike.
+_fold gives text the one form in which every input compares words: tokens,
+semantic tuples, synonyms, the verb lexicon and knowledge-base entities.
 
 A Record subclass names its fields in _fields and lists them (and any caches)
 in __slots__. Assignment to an instance raises AttributeError, so fields are
@@ -29,6 +31,11 @@ def _read_text(path: str | Path) -> str:
     """
     with open(path, encoding="utf-8") as handle:
         return handle.read().removeprefix("\ufeff")
+
+
+def _fold(text: str) -> str:
+    """text in the form in which naveval compares words: lowercase, as str.lower gives it."""
+    return text.lower()
 
 
 class Record:

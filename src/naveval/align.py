@@ -185,12 +185,13 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
     """Expand a sub-instruction alignment to word level via the chunk spans.
 
     The (start, end) token spans, as chunk_instruction gives them, must
-    partition [0, n_words) in order, one per alignment row. They become a
-    word-to-chunk map, built into the target by target_from_word_map.
+    partition [0, n_words) in order, one per alignment row. Word o's target
+    row is the alignment row of the span that covers it.
     """
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
     owner = [-1] * n_words
+    bounds = []
     for k, (start, end) in enumerate(spans):
         for name, bound in (("start", start), ("end", end)):
             if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)):
@@ -202,10 +203,19 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
             o = next(o for o in range(start, end) if owner[o] != -1)
             raise ValueError(f"word {o} is covered by more than one sub-instruction span")
         owner[start:end] = [k] * (end - start)
+        bounds.append((start, end))
     if -1 in owner:
         uncovered = [o for o, k in enumerate(owner) if k == -1]
         raise ValueError(f"words not covered by any sub-instruction span: {uncovered}")
-    return target_from_word_map(a, owner)
+    arr = np.asarray(a)
+    validate_alignment_matrix(arr)
+    if len(bounds) != len(arr):
+        raise ValueError(f"sub-instruction spans ({len(bounds)}) do not match the alignment rows ({len(arr)})")
+    # The spans partition the words, so they are in order when each starts where the one before ends.
+    for before, span in zip(bounds, bounds[1:]):
+        if span[0] != before[1]:
+            raise ValueError(f"sub-instruction spans out of order: {span} does not start where {before} ends")
+    return _target_rows(arr, owner)
 
 
 def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
@@ -229,7 +239,12 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
         raise ValueError("word_to_sub must be non-decreasing")
     if len(set(owner)) != m:
         raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
-    # Rows of the matrix just validated, in a new array no caller holds: no copy, no second 0/1 check.
+    return _target_rows(arr, owner)
+
+
+def _target_rows(arr: np.ndarray, owner: list[int]) -> TargetMatrix:
+    # Rows of a matrix just validated, in a new array no caller holds: no copy,
+    # no second 0/1 check. owner holds in-range row indices covering every row in order.
     a_prime = arr.take(owner, axis=0)
     a_prime.flags.writeable = False
     return TargetMatrix._checked(a_prime)

@@ -282,7 +282,7 @@ def _score_report_text(
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    from .metric import _score
+    from .metric import _score, _sum
 
     taxonomy = _load_taxonomy(args.taxonomy)
     # The synonyms canonicalize each record as it is loaded, but a synonyms
@@ -313,8 +313,8 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
     n = len(rows)
     corpus = {
-        "mean_spice": sum(r.spice for _, _, r in rows) / n,
-        "mean_spice_d": sum(r.spice_d for _, _, r in rows) / n,
+        "mean_spice": _sum(r.spice for _, _, r in rows) / n,
+        "mean_spice_d": _sum(r.spice_d for _, _, r in rows) / n,
         "n_records": n,
         "n_direction_only": sum(1 for _, _, r in rows if r.direction_only),
     }

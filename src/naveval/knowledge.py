@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from pathlib import Path
 
-from ._record import Record, _read_text
+from ._record import Record, _fold, _read_text
 
 DEFAULT_TOP_K = 3
 
@@ -27,18 +27,18 @@ _Row = tuple[str, str, str, float]
 
 
 class KnowledgeBase:
-    """Immutable index from lowercase head entity to its facts, in file order."""
+    """Immutable index from folded head entity to its facts, in file order."""
 
     def __init__(self, rows: list[_Row]) -> None:
         """Index the rows that load_kb has checked."""
         index: dict[str, list[_Row]] = {}
         for row in rows:
-            index.setdefault(row[0].lower(), []).append(row)
+            index.setdefault(_fold(row[0]), []).append(row)
         self._index = index
         self._n_facts = len(rows)
 
     def _rows(self, entity: str) -> list[_Row]:
-        return self._index.get(entity.lower(), [])
+        return self._index.get(_fold(entity), [])
 
     @property
     def n_facts(self) -> int:

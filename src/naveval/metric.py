@@ -6,7 +6,7 @@ import json
 from collections.abc import Iterable, Sequence
 from pathlib import Path
 
-from ._record import Record, _read_text, _set
+from ._record import Record, _fold, _read_text, _set
 from .text import DirectionTaxonomy, Instruction, direction_labels
 
 # A semantic tuple holds 1-3 lowercase lemmas: (object,), (object, attribute),
@@ -39,7 +39,7 @@ def _tuple_set(raw: Iterable[Sequence[str]], synonyms: SynonymMap | None = None,
         for e in item:
             if not isinstance(e, str) or not (word := e.strip()):
                 raise ValueError(f"semantic tuple elements must be nonempty strings, got {spell(e)}")
-            word = word.lower()
+            word = _fold(word)
             words.append(get(word, word))
         out.add(tuple(words))
     return frozenset(out)
@@ -51,7 +51,7 @@ class SynonymMap:
     def __init__(self, groups: Iterable[Iterable[str]] = ()):
         mapping: dict[str, str] = {}
         for group in groups:
-            members = [w.strip().lower() for w in group]
+            members = [_fold(w.strip()) for w in group]
             if not members or any(not m for m in members):
                 raise ValueError("synonym groups must be nonempty lists of nonempty strings")
             rep = members[0]
@@ -75,6 +75,15 @@ class SynonymMap:
     def canonical_set(self, tuples: frozenset[SemanticTuple]) -> frozenset[SemanticTuple]:
         get = self._mapping.get
         return frozenset(tuple(map(get, t, t)) for t in tuples)
+
+
+def _sum(values: Iterable[float]) -> float:
+    # The one float sum of the score report: left to right from 0, as builtin
+    # sum added floats before Python 3.12, whose sum compensates the rounding.
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 def _ratio(num: int, den: int) -> float:
@@ -189,7 +198,7 @@ def _score(candidate: _Side, references: Sequence[_Side], aggregation: str = "ma
     spice_d, spice, pr_s, re_s, pr_sd, re_sd, n_ref, inter, n_ref_dirs, matches = max(rows, key=lambda row: row[0])
     if aggregation == "mean":
         n = len(rows)
-        spice_d, spice, pr_s, re_s, pr_sd, re_sd = [sum(column) / n for column in list(zip(*rows))[:6]]
+        spice_d, spice, pr_s, re_s, pr_sd, re_sd = [_sum(column) / n for column in list(zip(*rows))[:6]]
     return ScoreReport(
         spice, spice_d, pr_s, re_s, pr_sd, re_sd, n_cand, n_ref, inter, n_cand_dirs, n_ref_dirs, matches, direction_only
     )

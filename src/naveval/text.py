@@ -7,7 +7,7 @@ import os
 from collections.abc import Iterable
 from pathlib import Path
 
-from ._record import Record, _read_text, _set
+from ._record import Record, _fold, _read_text, _set
 
 # The punctuation characters that separate tokens, as whitespace does. A token
 # is a maximal run of characters other than whitespace and these.
@@ -58,8 +58,8 @@ def _spaced(raw: str) -> str:
 def tokenize(raw: str) -> Instruction:
     """Split raw text into lowercase tokens, the words of _words, with their spans.
 
-    Spans are found in the spaced text before it is lowered, so they index raw
-    even where lower() changes a word's length. A word holds no whitespace and
+    Spans are found in the spaced text before it is folded, so they index raw
+    even where _fold changes a word's length. A word holds no whitespace and
     only whitespace precedes it, so its first match at or after the previous
     word's end is the word itself.
     Total: any string, including the empty one, yields a valid Instruction.
@@ -71,7 +71,7 @@ def tokenize(raw: str) -> Instruction:
         start = spaced.index(word, end)
         end = start + len(word)
         spans.append((start, end))
-    return Instruction._checked(raw, tuple(spaced.lower().split()), tuple(spans))
+    return Instruction._checked(raw, tuple(_fold(spaced).split()), tuple(spans))
 
 
 def _words(raw: str) -> tuple[str, ...]:
@@ -79,11 +79,11 @@ def _words(raw: str) -> tuple[str, ...]:
     whitespace and the separator punctuation .,;:!?\".
 
     Apostrophes and hyphens are kept, so "o'clock" and "u-turn" stay single
-    tokens. The separators are spaced out before the text is lowered, because
+    tokens. The separators are spaced out before the text is folded, because
     capital sigma lowers by context and "." and ":" do not end that context:
     "ΑΣ.Β" gives ("ας", "β"), as each token lowered on its own does.
     """
-    return tuple(_spaced(raw).lower().split())
+    return tuple(_fold(_spaced(raw)).split())
 
 
 class DirectionTaxonomy(Record):
@@ -209,7 +209,7 @@ def load_verb_lexicon(path: str | Path | None = None) -> frozenset[str]:
     """Read the action-verb lexicon: one lowercase verb per line, '#' comments allowed."""
     text = _read_text(data_dir() / "verbs.txt" if path is None else path)
     lines = (line.strip() for line in text.split("\n"))
-    return frozenset(line.lower() for line in lines if line and not line.startswith("#"))
+    return frozenset(_fold(line) for line in lines if line and not line.startswith("#"))
 
 
 def chunk_instruction(instruction: Instruction, verbs: Iterable[str]) -> list[tuple[int, int]]:

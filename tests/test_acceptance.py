@@ -7,9 +7,13 @@ lines as they execute.
 import itertools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -266,6 +270,64 @@ def test_criterion_9_mean_synonyms_report(tmp_path, capsys, mini_corpus_dir, gol
         assert main(argv) == 0
         capsys.readouterr()
         assert out.read_bytes() == golden_mean_synonyms_report_path.read_bytes()
+
+
+# Installs the float sum of Python 3.12 and later, which compensates rounding
+# (Neumaier), in a Python that adds left to right.
+COMPENSATED_SUM = """
+import builtins
+import math
+
+_builtin_sum = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    # From a zero start, floats alone; anything else is left to the builtin.
+    items = list(iterable)
+    if start != 0 or not items or {type(x) for x in items} != {float}:
+        return _builtin_sum(items, start)
+    total, compensation = start + items[0], 0.0
+    for x in items[1:]:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    return total + compensation if compensation and math.isfinite(compensation) else total
+
+
+builtins.sum = _compensated_sum
+"""
+
+
+def test_criterion_9_score_reports_do_not_depend_on_builtin_sum(tmp_path, mini_corpus_dir, test_data_dir):
+    """Both score goldens hold in a `python -m naveval` whose builtin sum compensates, as from Python 3.12."""
+    import naveval
+
+    with criterion(9, "score reports are byte-identical to their goldens under a compensated builtin sum"):
+        site = tmp_path / "site"
+        site.mkdir()
+        (site / "sitecustomize.py").write_text(COMPENSATED_SUM, encoding="utf-8")
+        src = Path(naveval.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(site), str(src)]))
+
+        def run(*argv):
+            proc = subprocess.run([sys.executable, *argv], capture_output=True, env=env, timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            return proc.stdout
+
+        # The child's sum is the compensated one: left to right, ten 0.1 add to 0.9999999999999999.
+        assert run("-c", "print(sum([0.1] * 10))") == b"1.0\n"
+        corpus = [str(mini_corpus_dir / "candidates.jsonl"), str(mini_corpus_dir / "references.jsonl")]
+        synonyms = str(mini_corpus_dir.parent / "synonyms" / "example.json")
+        goldens = {
+            "golden_score_report.json": [],
+            "golden_score_report_mean_synonyms.json": ["--aggregation", "mean", "--synonyms", synonyms],
+        }
+        for golden, options in goldens.items():
+            report = run("-m", "naveval", "score", *corpus, *options, "--quiet")
+            assert report == (test_data_dir / golden).read_bytes(), golden
 
 
 # Run from tests/data. Word logits of 1000 make align's attention exactly

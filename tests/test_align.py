@@ -300,9 +300,12 @@ class TestExpandAlignment:
         np.testing.assert_array_equal(target.a_prime, [[1]])
 
     def test_span_count_must_match_rows(self):
-        a = np.array([[1, 0], [0, 1]])
-        with pytest.raises(ValueError, match="sub-instructions"):
-            expand_alignment(a, [(0, 3)], n_words=3)
+        """The message names the spans, not a word-to-chunk map the caller never passed."""
+        a = np.array([[1, 1, 0], [0, 0, 1]])
+        for spans in ([(0, 3)], [(0, 1), (1, 2), (2, 3)]):
+            with pytest.raises(ValueError) as excinfo:
+                expand_alignment(a, spans, n_words=3)
+            assert str(excinfo.value) == f"sub-instruction spans ({len(spans)}) do not match the alignment rows (2)"
 
     def test_no_words_rejected(self):
         a = np.array([[1, 0], [0, 1]])
@@ -318,9 +321,20 @@ class TestExpandAlignment:
 
     def test_out_of_order_spans_rejected(self):
         """Spans that partition the words out of order would give a non-monotone target."""
-        a = np.array([[1, 0], [0, 1]])
-        with pytest.raises(ValueError, match="non-decreasing"):
-            expand_alignment(a, [(1, 3), (0, 1)], n_words=3)
+        cases = {
+            ((1, 3), (0, 1)): "(0, 1) does not start where (1, 3) ends",
+            ((0, 1), (2, 3), (1, 2)): "(2, 3) does not start where (0, 1) ends",
+        }
+        for spans, message in cases.items():
+            with pytest.raises(ValueError) as excinfo:
+                expand_alignment(np.eye(len(spans), dtype=int), spans, n_words=3)
+            assert str(excinfo.value) == f"sub-instruction spans out of order: {message}"
+
+    @pytest.mark.parametrize("spans", [[(1, 3), (0, 1)], [(0, 3)]], ids=["out-of-order", "too-few"])
+    def test_alignment_errors_come_before_span_order_and_count(self, spans):
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment(np.array([[0, 1], [1, 0]]), spans, n_words=3)
+        assert str(excinfo.value) == "alignment path must start at (0, 0) and end at the opposite corner"
 
 
 class TestTargetFromWordMap:

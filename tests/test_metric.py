@@ -6,6 +6,7 @@ import pytest
 from naveval.metric import (
     ScoringInput,
     SynonymMap,
+    _sum,
     check_labels,
     lcs_length,
     normalize_tuples,
@@ -281,6 +282,12 @@ class TestScorePair:
         ref_flip = self._input("turn right then turn left")
         report = score_pair(cand, [ref_match, ref_flip], r2r, aggregation="mean")
         assert abs(report.spice_d - 0.75) < 1e-12
+
+    def test_score_sum_adds_left_to_right_from_zero(self):
+        """Builtin sum compensates the rounding from Python 3.12: 1.0 and 1.0 here."""
+        assert _sum([0.1] * 10) == 0.9999999999999999
+        assert _sum([1e16, 1.0, -1e16]) == 0.0
+        assert _sum([]) == 0
 
     def test_direction_overrides_used_verbatim(self, r2r):
         cand = self._input("spin here", directions=("around",))

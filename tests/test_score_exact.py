@@ -4,7 +4,9 @@ The reference loads each record into a ScoringInput (tuples normalized there,
 labels parsed from the text or checked against the taxonomy), canonicalizes
 each side's tuples with the synonyms, builds one ScoreReport per reference,
 picks the best with max(range(...)) (earliest on ties) or averages under
-"mean", and writes the report with cli._score_report_text. The CLI instead
+"mean", and writes the report with cli._score_report_text. Every mean adds
+its floats left to right from 0, as naveval does on every Python; builtin
+sum compensates the rounding from Python 3.12. The CLI instead
 prepares each side once at load and builds one report per record; the two
 must agree byte for byte on seeded corpora that hold direction-only records,
 explicit directions, tuples that one synonym group merges, and tied
@@ -12,7 +14,9 @@ references.
 """
 
 import json
+import operator
 import random
+from functools import reduce
 
 import pytest
 
@@ -26,6 +30,10 @@ WORDS = ["sofa", "Couch", " couch ", "fridge", "Refrigerator ", "lamp", "door", 
 
 # ---------------------------------------------------------------------------
 # Reference composition
+
+
+def ref_sum(values):
+    return reduce(operator.add, values, 0)
 
 
 def ref_ratio(num, den):
@@ -80,7 +88,7 @@ def ref_score_pair(cand, refs, synonyms, aggregation):
         return chosen, reports
     n = len(reports)
     mean = ScoreReport(
-        *(sum(getattr(r, f) for r in reports) / n for f in ("spice", "spice_d", "pr_s", "re_s", "pr_sd", "re_sd")),
+        *(ref_sum(getattr(r, f) for r in reports) / n for f in ("spice", "spice_d", "pr_s", "re_s", "pr_sd", "re_sd")),
         chosen.n_cand_tuples, chosen.n_ref_tuples, chosen.n_tuple_matches,
         chosen.n_cand_dirs, chosen.n_ref_dirs, chosen.n_dir_matches, direction_only,
     )
@@ -100,8 +108,8 @@ def ref_report(cands_path, refs_path, taxonomy, synonyms, aggregation):
         per_reference.append(reports)
     n = len(rows)
     corpus = {
-        "mean_spice": sum(r.spice for _, _, r in rows) / n,
-        "mean_spice_d": sum(r.spice_d for _, _, r in rows) / n,
+        "mean_spice": ref_sum(r.spice for _, _, r in rows) / n,
+        "mean_spice_d": ref_sum(r.spice_d for _, _, r in rows) / n,
         "n_records": n,
         "n_direction_only": sum(1 for _, _, r in rows if r.direction_only),
     }
