@@ -24,12 +24,22 @@ DEFAULT_LAMBDA2 = 1.0
 ATTENTION_ROW_TOL = 1e-6
 
 
-def _as_hidden_matrix(value: object, name: str) -> np.ndarray:
-    """Coerce a sequence of equal-length feature vectors to a finite 2-D float array."""
+def _as_array(value: object, name: str, dtype: type | None = None) -> np.ndarray:
+    """np.asarray(value, dtype); a value numpy cannot convert, a ragged one say, is named in the error."""
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a rectangular array of numbers: {exc}") from None
+
+
+def _is_integer(value: object) -> bool:
+    # The one rule for a count or an index: a Python or numpy integer, not a bool.
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_hidden_matrix(value: object, name: str) -> np.ndarray:
+    """Coerce a sequence of equal-length feature vectors to a finite 2-D float array."""
+    arr = _as_array(value, name, float)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -123,7 +133,7 @@ def dtw_align(cost: object) -> np.ndarray:
 
 def _as_binary(value: object, name: str) -> np.ndarray:
     """Check for a nonempty 2-D array whose entries are all 0 or 1."""
-    arr = np.asarray(value)
+    arr = _as_array(value, name)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise ValueError(f"{name} must be a nonempty 2-D array")
     if not ((arr == 0) | (arr == 1)).all():
@@ -170,7 +180,7 @@ class TargetMatrix(Record):
     def __init__(self, a_prime: np.ndarray) -> None:
         # The one 0/1 check of a target; the losses trust it, so keep a
         # read-only copy whose checked entries cannot change later.
-        arr = _as_binary(np.array(a_prime), "target matrix")
+        arr = np.array(_as_binary(a_prime, "target matrix"))
         arr.flags.writeable = False
         _set(self, "a_prime", arr)
 
@@ -188,13 +198,15 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
     partition [0, n_words) in order, one per alignment row. Word o's target
     row is the alignment row of the span that covers it.
     """
+    if not _is_integer(n_words):
+        raise ValueError(f"n_words must be an integer, got {n_words!r}")
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
     owner = [-1] * n_words
     bounds = []
     for k, (start, end) in enumerate(spans):
         for name, bound in (("start", start), ("end", end)):
-            if isinstance(bound, bool) or not isinstance(bound, (int, np.integer)):
+            if not _is_integer(bound):
                 raise ValueError(f"spans[{k}] {name} must be an integer, got {bound!r}")
         start, end = int(start), int(end)
         if not (0 <= start < end <= n_words):
@@ -207,7 +219,7 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
     if -1 in owner:
         uncovered = [o for o, k in enumerate(owner) if k == -1]
         raise ValueError(f"words not covered by any sub-instruction span: {uncovered}")
-    arr = np.asarray(a)
+    arr = _as_array(a, "alignment matrix")
     validate_alignment_matrix(arr)
     if len(bounds) != len(arr):
         raise ValueError(f"sub-instruction spans ({len(bounds)}) do not match the alignment rows ({len(arr)})")
@@ -224,12 +236,12 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
     The map must be non-decreasing and cover every alignment row, as produced
     by an in-order chunk partition.
     """
-    arr = np.asarray(a)
+    arr = _as_array(a, "alignment matrix")
     validate_alignment_matrix(arr)
     m = arr.shape[0]
     owner = list(word_to_sub)
     for o, k in enumerate(owner):
-        if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        if not _is_integer(k):
             raise ValueError(f"word_to_sub[{o}] must be an integer, got {k!r}")
         if not 0 <= k < m:
             raise ValueError(f"word_to_sub[{o}] = {k} out of range for {m} sub-instructions")
@@ -257,7 +269,7 @@ def _as_target(a_prime: object) -> np.ndarray:
 
 
 def _check_attention(beta: object, shape: tuple[int, int]) -> np.ndarray:
-    b = np.asarray(beta, dtype=float)
+    b = _as_array(beta, "attention", float)
     if b.shape != shape:
         raise ValueError(f"attention shape {b.shape} does not match target shape {shape}")
     # min and max are NaN when any entry is, so this passes exactly the

@@ -242,29 +242,18 @@ def _score_report_text(
 
     rows holds each record's id, number of references and report. With indent
     set, json.dumps runs its pure-Python encoder. This fills the report's
-    fixed layout from the reports' fields and encodes the leaves as json does:
-    strings with its C encode_basestring_ascii, floats and ints with their
-    __repr__.
+    fixed layout with a report's fields in ScoreReport._fields order and
+    encodes the leaves as json does: strings with its C
+    encode_basestring_ascii, floats and ints with their __repr__.
     """
+    from operator import attrgetter
+
+    from .metric import ScoreReport
+
+    # Every field but the last, direction_only, is a number that %r writes as json does.
+    scores, flag = attrgetter(*ScoreReport._fields[:-1]), attrgetter(ScoreReport._fields[-1])
     records = ",\n".join(
-        _RECORD_LAYOUT
-        % (
-            encode_basestring_ascii(rid),
-            n_references,
-            r.spice,
-            r.spice_d,
-            r.pr_s,
-            r.re_s,
-            r.pr_sd,
-            r.re_sd,
-            r.n_cand_tuples,
-            r.n_ref_tuples,
-            r.n_tuple_matches,
-            r.n_cand_dirs,
-            r.n_ref_dirs,
-            r.n_dir_matches,
-            "true" if r.direction_only else "false",
-        )
+        _RECORD_LAYOUT % (encode_basestring_ascii(rid), n_references, *scores(r), "true" if flag(r) else "false")
         for rid, n_references, r in rows
     )
     records = f"[\n{records}\n  ]" if rows else "[]"
@@ -480,10 +469,7 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
     columns = {name: [row[i] for row in rows] for i, name in enumerate(header[1:-1], 1)}
     report = correlate_metrics(columns, [row[-1] for row in rows])
-    entries = [
-        {"metric": e.metric, "pearson": e.pearson, "n": e.n} for e in report.entries
-    ]
-    _emit_json(entries, args.out)
+    _emit_json([dict(zip(e._fields, e._values())) for e in report.entries], args.out)
     if report.n_dropped:
         _note(args, f"dropped {report.n_dropped} rows with missing values")
     return 0
@@ -499,8 +485,7 @@ def _cmd_kb(args: argparse.Namespace) -> int:
     k = DEFAULT_TOP_K if args.k is None else args.k
     kb = _load(load_kb, args.kb)
     facts = retrieve_facts(kb, args.entity, k)
-    lines = [f"{f.head}\t{f.relation}\t{f.tail}\t{f.weight}" for f in facts]
-    _emit("".join(line + "\n" for line in lines), args.out)
+    _emit("".join("\t".join(map(str, f._values())) + "\n" for f in facts), args.out)
     return 0
 
 

@@ -193,15 +193,15 @@ def _score(candidate: _Side, references: Sequence[_Side], aggregation: str = "ma
         matches = lcs_length(cand_dirs, ref_dirs)
         pr_s, re_s = _ratio(inter, n_cand), _ratio(inter, n_ref)
         pr_sd, re_sd = _ratio(inter + matches, n_cand + n_cand_dirs), _ratio(inter + matches, n_ref + n_ref_dirs)
-        spice_d, spice = _f_score(pr_sd, re_sd), _f_score(pr_s, re_s)
-        rows.append((spice_d, spice, pr_s, re_s, pr_sd, re_sd, n_ref, inter, n_ref_dirs, matches))
-    spice_d, spice, pr_s, re_s, pr_sd, re_sd, n_ref, inter, n_ref_dirs, matches = max(rows, key=lambda row: row[0])
+        # The report's values in ScoreReport._fields order.
+        rows.append((
+            _f_score(pr_s, re_s), _f_score(pr_sd, re_sd), pr_s, re_s, pr_sd, re_sd,
+            n_cand, n_ref, inter, n_cand_dirs, n_ref_dirs, matches, direction_only,
+        ))
+    best = max(rows, key=lambda row: row[1])
     if aggregation == "mean":
-        n = len(rows)
-        spice_d, spice, pr_s, re_s, pr_sd, re_sd = [_sum(column) / n for column in list(zip(*rows))[:6]]
-    return ScoreReport(
-        spice, spice_d, pr_s, re_s, pr_sd, re_sd, n_cand, n_ref, inter, n_cand_dirs, n_ref_dirs, matches, direction_only
-    )
+        best = (*[_sum(column) / len(rows) for column in list(zip(*rows))[:6]], *best[6:])
+    return ScoreReport(*best)
 
 
 class ScoringInput(Record):

@@ -204,7 +204,16 @@ class TestDtwAlign:
             assert np.array_equal(dtw_align(cost), loop_dtw_align(cost)), shape
 
 
+# The start of each error that a ragged matrix raises: numpy's reason follows.
+RAGGED = "must be a rectangular array of numbers: "
+
+
 class TestValidateAlignmentMatrix:
+    def test_ragged_matrix_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            validate_alignment_matrix([[1, 0], [1]])
+        assert str(excinfo.value).startswith("alignment matrix " + RAGGED)
+
     def test_accepts_valid_staircase(self):
         validate_alignment_matrix([[1, 1, 0], [0, 0, 1]])
         validate_alignment_matrix([[1, 0], [1, 0], [0, 1]])
@@ -313,6 +322,22 @@ class TestExpandAlignment:
             expand_alignment(a, [(0, 1), (1, 2)], 0)
         assert str(excinfo.value) == "n_words must be >= 1"
 
+    @pytest.mark.parametrize("n_words", [1.0, "1", True, np.float64(1)], ids=["float", "string", "bool", "numpy-float"])
+    def test_n_words_that_is_not_an_integer_rejected(self, n_words):
+        """n_words is held to the rule of the span bounds: no bool, float or string counts as 1."""
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment([[1]], [(0, 1)], n_words)
+        assert str(excinfo.value) == f"n_words must be an integer, got {n_words!r}"
+
+    def test_numpy_integers_accepted(self):
+        target = expand_alignment(np.array([[1, 0], [0, 1]]), [(np.int64(0), 1), (1, np.int32(3))], np.int64(3))
+        np.testing.assert_array_equal(target.a_prime, [[1, 0], [0, 1], [0, 1]])
+
+    def test_ragged_alignment_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment([[1, 0], [1]], [(0, 1), (1, 2)], 2)
+        assert str(excinfo.value).startswith("alignment matrix " + RAGGED)
+
     def test_span_past_the_last_word_rejected(self):
         a = np.array([[1, 0], [0, 1]])
         with pytest.raises(ValueError) as excinfo:
@@ -368,6 +393,11 @@ class TestTargetFromWordMap:
         with pytest.raises(ValueError) as excinfo:
             target_from_word_map(a, word_to_sub)
         assert str(excinfo.value) == message
+
+    def test_ragged_alignment_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            target_from_word_map([[1, 1], [0]], [0, 1])
+        assert str(excinfo.value).startswith("alignment matrix " + RAGGED)
 
 
 class TestAttentionCoverageLoss:
@@ -433,6 +463,25 @@ class TestAttentionCoverageLoss:
         with pytest.raises(ValueError) as excinfo:
             TargetMatrix(a_prime=np.array([1, 0]))
         assert str(excinfo.value) == "target matrix must be a nonempty 2-D array"
+
+    def test_ragged_hand_built_target_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            TargetMatrix([[1], [1, 0]])
+        assert str(excinfo.value).startswith("target matrix " + RAGGED)
+
+    @pytest.mark.parametrize("loss", ["coverage", "contrastive"])
+    def test_ragged_raw_target_named(self, loss):
+        with pytest.raises(ValueError) as excinfo:
+            if loss == "coverage":
+                attention_coverage_loss([[1.0, 0.0], [1.0, 0.0]], [[1, 0], [1]])
+            else:
+                contrastive_loss([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]], [[1, 0], [1]])
+        assert str(excinfo.value).startswith("target matrix " + RAGGED)
+
+    def test_ragged_attention_named(self):
+        with pytest.raises(ValueError) as excinfo:
+            attention_coverage_loss([[1.0, 0.0], [1.0]], [[1, 0], [1, 0]])
+        assert str(excinfo.value).startswith("attention " + RAGGED)
 
     def test_hand_built_target_checked_at_construction(self):
         with pytest.raises(ValueError, match="target matrix entries must be 0 or 1"):

@@ -34,9 +34,8 @@ UNMUTATED = {
         **dict.fromkeys(
             [
                 "InputError", "SchemaError", "_load", "_load_jsonl", "_by_unique_id", "_emit", "_emit_json",
-                "_to_stderr", "_note", "_load_taxonomy", "_synonyms_from_args", "_score_report_text",
-                "_cmd_score", "_cmd_align", "_cmd_directions", "_cmd_chunk", "_cmd_kb", "_Parser",
-                "build_parser", "run",
+                "_to_stderr", "_note", "_load_taxonomy", "_synonyms_from_args", "_cmd_score",
+                "_cmd_align", "_cmd_directions", "_cmd_chunk", "_Parser", "build_parser", "run",
             ],
             _CLI_TIME,
         ),

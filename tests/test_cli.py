@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -35,6 +36,35 @@ FEATURES = {
 
 def write_jsonl(path, rows):
     path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _naveval_env(**changes):
+    """The environment of a naveval child process: this checkout first on the caller's path.
+
+    The caller's PYTHONPATH is kept after it, so that a hook placed on it (a
+    sitecustomize, say) reaches every child. A change of None unsets the
+    variable.
+    """
+    import naveval
+
+    path = [str(Path(naveval.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    for name, value in changes.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
+    return env
+
+
+def test_child_environment_puts_this_checkout_before_the_callers_path(monkeypatch):
+    import naveval
+
+    src = str(Path(naveval.__file__).resolve().parents[1])
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["hooks", "more"]))
+    assert _naveval_env()["PYTHONPATH"].split(os.pathsep) == [src, "hooks", "more"]
+    monkeypatch.delenv("PYTHONPATH")
+    assert _naveval_env()["PYTHONPATH"] == src
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +383,20 @@ class TestScore:
         assert max_score == 1.0
         assert abs(mean_score - 0.5) < 1e-12
 
+    def test_record_layout_keys_are_the_score_report_fields(self):
+        """The writer fills the layout with a report's fields in _fields order, so its keys name them in that order.
+
+        The count keys drop the n_ of their fields, being inside "counts".
+        """
+        from naveval.cli import _RECORD_LAYOUT
+        from naveval.metric import ScoreReport
+
+        counts = re.search(r'"counts": \{(.*?)\}', _RECORD_LAYOUT, re.S)[1]
+        count_keys = re.findall(r'"(\w+)": %', counts)
+        keys = [f"n_{key}" if key in count_keys else key for key in re.findall(r'"(\w+)": %', _RECORD_LAYOUT)]
+        assert keys[:2] == ["id", "n_references"]
+        assert keys[2:] == list(ScoreReport._fields)
+
 
 class TestAlign:
     def write_features(self, tmp_path, doc):
@@ -572,15 +616,9 @@ class TestDirectionsAndChunk:
         assert code == 1
 
     def test_chunk_unreadable_verb_lexicon_is_input_error(self, tmp_path):
-        import naveval
-
         lexicon = tmp_path / "verbs.txt"
         lexicon.mkdir()
-        env = dict(
-            os.environ,
-            NAVEVAL_DATA_DIR=str(tmp_path),
-            PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]),
-        )
+        env = _naveval_env(NAVEVAL_DATA_DIR=str(tmp_path))
         proc = subprocess.run(
             [sys.executable, "-m", "naveval", "chunk", "--text", "walk and stop"],
             capture_output=True,
@@ -595,15 +633,9 @@ class TestDirectionsAndChunk:
         assert proc.stdout == ""
 
     def test_chunk_verb_lexicon_not_utf8_is_schema_error(self, tmp_path):
-        import naveval
-
         lexicon = tmp_path / "verbs.txt"
         lexicon.write_bytes(b"turn\n\xffgo\n")
-        env = dict(
-            os.environ,
-            NAVEVAL_DATA_DIR=str(tmp_path),
-            PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]),
-        )
+        env = _naveval_env(NAVEVAL_DATA_DIR=str(tmp_path))
         proc = subprocess.run(
             [sys.executable, "-m", "naveval", "chunk", "--text", "turn left and go"],
             capture_output=True,
@@ -1300,12 +1332,10 @@ def test_failed_library_check_is_exit_1_with_its_message(capsys, tmp_path, kb_fi
 
 @pytest.mark.parametrize("target", ["missing-dir", "existing-dir"])
 def test_unwritable_out_is_input_error(tmp_path, mini_corpus_dir, target):
-    import naveval
-
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     out = out_dir / "missing" / "x.json" if target == "missing-dir" else out_dir
-    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    env = _naveval_env()
     proc = subprocess.run(
         [
             sys.executable,
@@ -1388,9 +1418,7 @@ print("ok")
 
 
 def test_numpy_loaded_only_for_align(tmp_path, kb_fixture_path):
-    import naveval
-
-    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    env = _naveval_env()
     proc = subprocess.run(
         [sys.executable, "-c", NUMPY_FREE_SCRIPT, str(tmp_path), str(kb_fixture_path)],
         capture_output=True,
@@ -1451,8 +1479,6 @@ NOT_FOR_SHORT_CALLS = {
     ids=["score-directions-chunk", "kb-query", "align", "correlate"],
 )
 def test_each_subcommand_imports_only_what_it_runs(tmp_path, mini_corpus_dir, kb_fixture_path, commands, absent):
-    import naveval
-
     (tmp_path / "table.csv").write_text("id,spice_d,human\nq01,0.5,3\nq02,0.9,4\nq03,0.1,1\n")
     write_jsonl(tmp_path / "texts.jsonl", [{"id": i, "text": "turn left and go right"} for i in ("q01", "q02", "q03")])
     (tmp_path / "features.json").write_text(json.dumps(FEATURES), encoding="utf-8")
@@ -1461,7 +1487,7 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, mini_corpus_dir, kb
         commands = [c.replace(name, str(place)) for c in commands]
     # -S keeps site-packages hooks, which may import modules of their own, out
     # of the interpreter; align finds numpy on a path appended by the script.
-    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    env = _naveval_env()
     proc = subprocess.run(
         [sys.executable, "-S", "-c", MODULES_SCRIPT, str(Path(np.__file__).resolve().parents[1]), *commands],
         capture_output=True,
@@ -1473,19 +1499,6 @@ def test_each_subcommand_imports_only_what_it_runs(tmp_path, mini_corpus_dir, kb
     loaded = set(proc.stdout.split())
     assert "naveval.cli" in loaded
     assert sorted(absent & loaded) == []
-
-
-def _naveval_env(**changes):
-    """The environment of a naveval child process: this checkout first on the path."""
-    import naveval
-
-    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
-    for name, value in changes.items():
-        if value is None:
-            env.pop(name, None)
-        else:
-            env[name] = value
-    return env
 
 
 # Runs cli.run() with a main() that writes OPENBLAS_NUM_THREADS through _emit,
@@ -1730,10 +1743,8 @@ def test_package_exposes_only_version_and_submodules():
 
 
 def test_import_naveval_loads_no_submodule():
-    import naveval
-
     script = "import sys, naveval; print(sorted(m for m in sys.modules if m.startswith('naveval.')))"
-    env = dict(os.environ, PYTHONPATH=str(Path(naveval.__file__).resolve().parents[1]))
+    env = _naveval_env()
     proc = subprocess.run(
         [sys.executable, "-S", "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
