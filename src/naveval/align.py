@@ -9,8 +9,9 @@ softmax contrastive term.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 
 import numpy as np
 
@@ -202,8 +203,12 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
         raise ValueError(f"n_words must be an integer, got {n_words!r}")
     if n_words < 1:
         raise ValueError("n_words must be >= 1")
-    owner = [-1] * n_words
+    # The words covered so far, as disjoint [start, end) runs sorted by start,
+    # and so by end: the work grows with the spans, not with n_words.
+    starts: list[int] = []
+    ends: list[int] = []
     bounds = []
+    covered = 0
     for k, (start, end) in enumerate(spans):
         for name, bound in (("start", start), ("end", end)):
             if not _is_integer(bound):
@@ -211,14 +216,21 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
         start, end = int(start), int(end)
         if not (0 <= start < end <= n_words):
             raise ValueError(f"sub-instruction span ({start}, {end}) out of range for {n_words} words")
-        if owner[start:end].count(-1) != end - start:
-            o = next(o for o in range(start, end) if owner[o] != -1)
-            raise ValueError(f"word {o} is covered by more than one sub-instruction span")
-        owner[start:end] = [k] * (end - start)
+        # Runs before i end by start; run i, if it starts before end, holds the first word covered twice.
+        i = bisect_right(ends, start)
+        if i < len(starts) and starts[i] < end:
+            raise ValueError(f"word {max(start, starts[i])} is covered by more than one sub-instruction span")
+        starts.insert(i, start)
+        ends.insert(i, end)
         bounds.append((start, end))
-    if -1 in owner:
-        uncovered = [o for o, k in enumerate(owner) if k == -1]
-        raise ValueError(f"words not covered by any sub-instruction span: {uncovered}")
+        covered += end - start
+    if covered != n_words:
+        # The first ten uncovered words, from the gaps between the runs, and how many there are.
+        gaps = zip([0, *ends], [*starts, n_words])
+        uncovered = list(islice(chain.from_iterable(range(*gap) for gap in gaps), 10))
+        more = n_words - covered - len(uncovered)
+        tail = f" and {more} more ({n_words - covered} in all)" if more else ""
+        raise ValueError(f"words not covered by any sub-instruction span: {uncovered}{tail}")
     arr = _as_array(a, "alignment matrix")
     validate_alignment_matrix(arr)
     if len(bounds) != len(arr):
@@ -227,7 +239,7 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
     for before, span in zip(bounds, bounds[1:]):
         if span[0] != before[1]:
             raise ValueError(f"sub-instruction spans out of order: {span} does not start where {before} ends")
-    return _target_rows(arr, owner)
+    return _target_rows(arr.repeat([end - start for start, end in bounds], axis=0))
 
 
 def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
@@ -251,13 +263,12 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
         raise ValueError("word_to_sub must be non-decreasing")
     if len(set(owner)) != m:
         raise ValueError(f"word_to_sub must cover every one of the {m} sub-instructions")
-    return _target_rows(arr, owner)
+    return _target_rows(arr.take(owner, axis=0))
 
 
-def _target_rows(arr: np.ndarray, owner: list[int]) -> TargetMatrix:
-    # Rows of a matrix just validated, in a new array no caller holds: no copy,
-    # no second 0/1 check. owner holds in-range row indices covering every row in order.
-    a_prime = arr.take(owner, axis=0)
+def _target_rows(a_prime: np.ndarray) -> TargetMatrix:
+    # Each word's row of a matrix just validated, every row in order, in a new
+    # array no caller holds: no copy, no second 0/1 check.
     a_prime.flags.writeable = False
     return TargetMatrix._checked(a_prime)
 
@@ -266,21 +277,6 @@ def _as_target(a_prime: object) -> np.ndarray:
     if isinstance(a_prime, TargetMatrix):
         return a_prime.a_prime
     return _as_binary(a_prime, "target matrix")
-
-
-def _check_attention(beta: object, shape: tuple[int, int]) -> np.ndarray:
-    b = _as_array(beta, "attention", float)
-    if b.shape != shape:
-        raise ValueError(f"attention shape {b.shape} does not match target shape {shape}")
-    # min and max are NaN when any entry is, so this passes exactly the
-    # attention whose entries are all finite and in [0, 1].
-    if not (b.min() >= 0.0 and b.max() <= 1.0):
-        if not np.isfinite(b).all():
-            raise ValueError("attention entries must be finite")
-        raise ValueError("attention entries must lie in [0, 1]")
-    if np.abs(b.sum(axis=1) - 1.0).max() > ATTENTION_ROW_TOL:
-        raise ValueError("attention rows must sum to 1")
-    return b
 
 
 def attention_coverage_loss(beta: object, a_prime: object, eps: float = DEFAULT_EPS) -> float:
@@ -293,11 +289,29 @@ def attention_coverage_loss(beta: object, a_prime: object, eps: float = DEFAULT_
     sharp attention. It is exactly 0 when each word puts all its attention on
     aligned viewpoints and has exactly one unaligned viewpoint. A word whose
     viewpoints are all aligned scores -log(eps), 18.42 at the default eps.
+
+    The target is checked first, then the attention, then eps.
     """
+    target = _as_target(a_prime)
+    b = _as_array(beta, "attention", float)
+    if b.shape != target.shape:
+        raise ValueError(f"attention shape {b.shape} does not match target shape {target.shape}")
+    # min and max are NaN when any entry is, so this passes exactly the
+    # attention whose entries are all finite and in [0, 1].
+    if not (b.min() >= 0.0 and b.max() <= 1.0):
+        if not np.isfinite(b).all():
+            raise ValueError("attention entries must be finite")
+        raise ValueError("attention entries must lie in [0, 1]")
+    if np.abs(b.sum(axis=1) - 1.0).max() > ATTENTION_ROW_TOL:
+        raise ValueError("attention rows must sum to 1")
+    return _coverage_loss(b, target, eps)
+
+
+def _coverage_loss(b: np.ndarray, target: np.ndarray, eps: float) -> float:
+    # b has the target's shape and is a checked attention or a softmax just
+    # built. The library's one eps check is here, after the other inputs'.
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps!r}")
-    target = _as_target(a_prime)
-    b = _check_attention(beta, target.shape)
     aligned = (target * b).sum(axis=1)
     unaligned = ((1.0 - target) * (1.0 - b)).sum(axis=1)
     per_word = np.log(np.maximum(aligned, eps, out=aligned), out=aligned)
@@ -321,8 +335,13 @@ def _logsumexp(x: np.ndarray) -> np.ndarray:
 def _log_softmax(words: object, panoramas: object) -> tuple[np.ndarray, np.ndarray]:
     """Each word's log-softmax over the panoramas, factored: the word-panorama products and each row's logsumexp."""
     w, p = _matching_widths(words, "words", panoramas, "panoramas")
-    logits = w @ p.T
+    # Finite features can still give products that overflow; the one check
+    # of that, for every loss, is the ValueError below, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = w @ p.T
     del w, p  # free the float64 feature copies before the logsumexp
+    if not np.isfinite(logits).all():
+        raise ValueError("word-panorama products must be finite")
     return logits, _logsumexp(logits)
 
 
@@ -335,11 +354,10 @@ def contrastive_loss(panoramas: object, words: object, a_prime: object) -> float
     the aligned logits minus the logsumexp over the row, so it is finite for
     finite features and invariant to adding a per-word constant.
     """
-    return _contrastive_loss(*_log_softmax(words, panoramas), a_prime)
+    return _contrastive_loss(*_log_softmax(words, panoramas), _as_target(a_prime))
 
 
-def _contrastive_loss(logits: np.ndarray, norm: np.ndarray, a_prime: object) -> float:
-    target = _as_target(a_prime)
+def _contrastive_loss(logits: np.ndarray, norm: np.ndarray, target: np.ndarray) -> float:
     if target.shape != logits.shape:
         n_w, n_p = logits.shape
         raise ValueError(f"target shape {target.shape} does not match ({n_w} words, {n_p} panoramas)")
@@ -366,11 +384,14 @@ def alignment_losses(words: object, panoramas: object, a_prime: object, eps: flo
 
     The same bits as attention_coverage_loss(softmax_attention(words,
     panoramas), a_prime, eps) and contrastive_loss(panoramas, words, a_prime).
+    Each input is checked once: the features and their products, then the
+    target, then eps. The softmax built here is not checked again.
     """
-    # l_nce reads the products before _softmax overwrites them.
     logits, norm = _log_softmax(words, panoramas)
-    l_nce = _contrastive_loss(logits, norm, a_prime)
-    return attention_coverage_loss(_softmax(logits, norm), a_prime, eps), l_nce
+    target = _as_target(a_prime)
+    # l_nce reads the products before _softmax overwrites them.
+    l_nce = _contrastive_loss(logits, norm, target)
+    return _coverage_loss(_softmax(logits, norm), target, eps), l_nce
 
 
 def total_loss(

@@ -352,7 +352,8 @@ def _cmd_align(args: argparse.Namespace) -> int:
             target = align.target_from_word_map(a, word_to_sub)
         except ValueError as exc:
             raise SchemaError(f"{args.features}: {exc}") from None
-        if not 0.0 < eps < float("inf"):  # the loss's own check, raised here so that it names no file
+        # alignment_losses checks eps last; this copy of its check comes first so that the message names no file.
+        if not 0.0 < eps < float("inf"):
             raise InputError(f"eps must be positive and finite, got {eps!r}")
         l_att, l_nce = align.alignment_losses(words, doc["panoramas"], target, eps)
     except ValueError as exc:

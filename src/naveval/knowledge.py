@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from pathlib import Path
 
 from ._record import Record, _fold, _read_text
@@ -29,8 +30,21 @@ _Row = tuple[str, str, str, float]
 class KnowledgeBase:
     """Immutable index from folded head entity to its facts, in file order."""
 
-    def __init__(self, rows: list[_Row]) -> None:
-        """Index the rows that load_kb has checked."""
+    def __init__(self, rows: Iterable[Sequence]) -> None:
+        """Index (head, relation, tail, weight) rows, each checked as KnowledgeFact checks its fields."""
+        rows = [tuple(row) for row in rows]
+        for row in rows:
+            _check_fact(*row)
+        self._fill(rows)
+
+    @classmethod
+    def _checked(cls, rows: list[_Row]) -> KnowledgeBase:
+        """The index of rows that load_kb has just checked, with no second check."""
+        kb = object.__new__(cls)
+        kb._fill(rows)
+        return kb
+
+    def _fill(self, rows: list[_Row]) -> None:
         index: dict[str, list[_Row]] = {}
         for row in rows:
             index.setdefault(_fold(row[0]), []).append(row)
@@ -75,7 +89,7 @@ def load_kb(path: str | Path) -> KnowledgeBase:
         rows.append((head, relation, tail, weight))
     if problems:
         raise ValueError(f"{path}: " + "; ".join(problems))
-    return KnowledgeBase(rows)
+    return KnowledgeBase._checked(rows)
 
 
 def retrieve_facts(kb: KnowledgeBase, entity: str, k: int = DEFAULT_TOP_K) -> list[KnowledgeFact]:

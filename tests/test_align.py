@@ -4,8 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
+from naveval import align
 from naveval.align import (
     TargetMatrix,
+    alignment_losses,
     attention_coverage_loss,
     build_cost,
     contrastive_loss,
@@ -304,6 +306,36 @@ class TestExpandAlignment:
             expand_alignment(a, [(0, 1), (1, 1), (1, 3)], n_words=3)
         assert str(excinfo.value) == "sub-instruction span (1, 1) out of range for 3 words"
 
+    @pytest.mark.parametrize(
+        "spans, n_words, uncovered",
+        [
+            ([(1, 2), (4, 5)], 6, "[0, 2, 3, 5]"),
+            ([(0, 1), (11, 12)], 12, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"),
+            ([(0, 1), (12, 13)], 13, "[1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1 more (11 in all)"),
+        ],
+        ids=["gaps-everywhere", "ten", "eleven"],
+    )
+    def test_uncovered_words_listed_in_order_up_to_ten(self, spans, n_words, uncovered):
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment(np.eye(2, dtype=int), spans, n_words)
+        assert str(excinfo.value) == f"words not covered by any sub-instruction span: {uncovered}"
+
+    @pytest.mark.parametrize("n_words", [2 * 10**6, 10**30], ids=["two-million", "past-an-index"])
+    def test_uncovered_words_bounded_by_the_spans_not_n_words(self, n_words):
+        """The message lists ten words and counts the rest; no list of n_words entries is built."""
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment([[1]], [(0, 1)], n_words)
+        assert str(excinfo.value) == (
+            "words not covered by any sub-instruction span: [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] "
+            f"and {n_words - 11} more ({n_words - 1} in all)"
+        )
+
+    def test_overlap_found_among_runs_out_of_order(self):
+        """Word 4 of (3, 6) is the first covered twice: (4, 5) came before it, (0, 1) and (6, 8) do not meet it."""
+        with pytest.raises(ValueError) as excinfo:
+            expand_alignment(np.eye(4, dtype=int), [(6, 8), (0, 1), (4, 5), (3, 6)], 8)
+        assert str(excinfo.value) == "word 4 is covered by more than one sub-instruction span"
+
     def test_one_word(self):
         target = expand_alignment(np.array([[1]]), [(0, 1)], n_words=1)
         np.testing.assert_array_equal(target.a_prime, [[1]])
@@ -457,6 +489,20 @@ class TestAttentionCoverageLoss:
         """Neither row sums to 1, but the message names the bad entry."""
         with pytest.raises(ValueError) as excinfo:
             attention_coverage_loss(beta, [[1, 0]])
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "beta, a_prime, message",
+        [
+            ([[0.7, 0.1]], [[1, 0]], "attention rows must sum to 1"),
+            ([[1.0, 0.0]], [[1, 2]], "target matrix entries must be 0 or 1"),
+            ([[1.0, 0.0]], [[1, 0, 0]], "attention shape (1, 2) does not match target shape (1, 3)"),
+        ],
+        ids=["attention", "target", "shape"],
+    )
+    def test_eps_is_checked_after_the_target_and_the_attention(self, beta, a_prime, message):
+        with pytest.raises(ValueError) as excinfo:
+            attention_coverage_loss(beta, a_prime, eps=0.0)
         assert str(excinfo.value) == message
 
     def test_hand_built_target_must_be_2d(self):
@@ -618,6 +664,65 @@ class TestSoftmaxAttention:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch: words have 2, panoramas have 3"):
             softmax_attention([[1.0, 0.0]], [[1.0, 0.0, 0.0]])
+
+
+# +inf, -inf and inf - inf: finite features whose products do not fit a float64.
+OVERFLOWING = {
+    "plus-inf": ([[1e200, 0.0]], [[1e200, 0.0], [1.0, 0.0]]),
+    "minus-inf": ([[1e200, 0.0]], [[-1e200, 0.0], [1.0, 0.0]]),
+    "nan": ([[1e200, 1e200]], [[1e200, -1e200], [1.0, 0.0]]),
+}
+
+
+class TestAlignmentLosses:
+    @pytest.mark.parametrize("words, panoramas", OVERFLOWING.values(), ids=OVERFLOWING)
+    @pytest.mark.parametrize("entry", ["softmax_attention", "contrastive_loss", "alignment_losses"])
+    def test_overflowing_products_raise_one_error(self, entry, words, panoramas):
+        """Every loss entry point raises the same error, with no RuntimeWarning (pytest makes those errors)."""
+        calls = {
+            "softmax_attention": lambda: softmax_attention(words, panoramas),
+            "contrastive_loss": lambda: contrastive_loss(panoramas, words, [[1, 0]]),
+            "alignment_losses": lambda: alignment_losses(words, panoramas, [[1, 0]]),
+        }
+        with pytest.raises(ValueError) as excinfo:
+            calls[entry]()
+        assert str(excinfo.value) == "word-panorama products must be finite"
+
+    def test_overflow_is_reported_before_target_errors(self):
+        words, panoramas = OVERFLOWING["plus-inf"]
+        with pytest.raises(ValueError) as excinfo:
+            alignment_losses(words, panoramas, [[1, 2]])
+        assert str(excinfo.value) == "word-panorama products must be finite"
+
+    def test_large_finite_products_accepted(self):
+        """1e300 fits a float64: the softmax is one-hot and the losses finite."""
+        words, panoramas = [[1e150, 0.0]], [[1e150, 0.0], [1.0, 0.0]]
+        np.testing.assert_array_equal(softmax_attention(words, panoramas), [[1.0, 0.0]])
+        assert alignment_losses(words, panoramas, [[1, 0]]) == (0.0, 0.0)
+
+    def test_each_input_converted_once(self, monkeypatch):
+        """A raw target is converted once, and the softmax built inside is not checked as an attention."""
+        seen = []
+
+        def counting_as_array(value, name, dtype=None):
+            seen.append(name)
+            return as_array(value, name, dtype)
+
+        as_array = align._as_array
+        monkeypatch.setattr(align, "_as_array", counting_as_array)
+        rng = np.random.default_rng(41)
+        a_prime = np.eye(3, dtype=int)[[0, 0, 1, 2]].tolist()
+        alignment_losses(rng.normal(size=(4, 5)), rng.normal(size=(3, 5)), a_prime)
+        assert (seen.count("target matrix"), seen.count("attention")) == (1, 0)
+
+    @pytest.mark.parametrize("eps", [0.0, math.nan])
+    def test_eps_checked_after_the_target(self, eps):
+        with pytest.raises(ValueError) as excinfo:
+            alignment_losses([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[1, 0, 0]], eps)
+        assert str(excinfo.value) == "target shape (1, 3) does not match (1 words, 2 panoramas)"
+        with pytest.raises(ValueError) as excinfo:
+            alignment_losses([[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[1, 0]], eps)
+        assert str(excinfo.value) == f"eps must be positive and finite, got {eps!r}"
 
 
 class TestTotalLoss:

@@ -438,6 +438,19 @@ class TestAlign:
         assert err.startswith("naveval: error: eps must be positive and finite")
         assert "l_att" not in err
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus-inf", "minus-inf"])
+    def test_overflowing_products_name_the_file(self, capsys, tmp_path, sign):
+        """Features that are finite but whose word-panorama products overflow: exit 1, naming the file."""
+        doc = dict(
+            FEATURES,
+            panoramas=[[x * 1e150 for x in row] for row in FEATURES["panoramas"]],
+            words=[[x * sign * 1e200 for x in row] for row in FEATURES["words"]],
+        )
+        path = self.write_features(tmp_path, doc)
+        code, out, err = run_cli(capsys, "align", path)
+        assert (code, out) == (1, "")
+        assert err == f"naveval: error: {path}: word-panorama products must be finite\n"
+
     def test_loss_weights_scale_total(self, capsys, tmp_path):
         path = self.write_features(tmp_path, FEATURES)
         code, out, _ = run_cli(

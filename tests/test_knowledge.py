@@ -220,6 +220,28 @@ class TestKnowledgeBase:
         empty.write_text("# no facts\n", encoding="utf-8")
         assert load_kb(empty).n_facts == 0
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            (("door", "AtLocation", "hall", float("nan")), "fact weight must be finite, got nan"),
+            (("door", "", "x", 1.0), "fact fields must be nonempty"),
+        ],
+        ids=["nan-weight", "empty-relation"],
+    )
+    def test_hand_built_rows_are_checked(self, row, message):
+        """A KnowledgeBase built by hand holds only rows that KnowledgeFact accepts."""
+        with pytest.raises(ValueError) as excinfo:
+            KnowledgeBase([("door", "AtLocation", "hall", 1.0), row])
+        assert str(excinfo.value) == message
+
+    def test_hand_built_rows_are_copied(self):
+        """Rows are held as tuples, so a caller's later change to a row reaches no fact."""
+        row = ["door", "AtLocation", "hall", 1.0]
+        kb = KnowledgeBase(iter([row]))
+        row[3] = float("nan")
+        assert kb.n_facts == 1
+        assert retrieve_facts(kb, "DOOR") == [KnowledgeFact("door", "AtLocation", "hall", 1.0)]
+
 
 class TestKnowledgeFact:
     def test_validation(self):
