@@ -21,8 +21,9 @@ DEFAULT_EPS = 1e-8
 DEFAULT_LAMBDA1 = 1.0
 DEFAULT_LAMBDA2 = 1.0
 
-# Attention rows must sum to 1 within this tolerance.
-ATTENTION_ROW_TOL = 1e-6
+_ATTENTION_ROW_TOL = 1e-6
+# The smallest normal float64; a nonzero square below it has lost bits.
+_SMALLEST_NORMAL = 2.0**-1022
 
 
 def _as_array(value: object, name: str, dtype: type | None = None) -> np.ndarray:
@@ -59,14 +60,34 @@ def _matching_widths(a: object, a_name: str, b: object, b_name: str) -> tuple[np
 def _unit_rows(arr: np.ndarray, name: str) -> np.ndarray:
     # The ufuncs np.linalg.norm(arr, axis=1) runs for real input, without its
     # wrapper and its conj() copy, so the norms are the same bits.
-    norms = np.sqrt(np.add.reduce(arr * arr, axis=1))
+    with np.errstate(over="ignore"):
+        squares = arr * arr
+        norms = np.sqrt(np.add.reduce(squares, axis=1))
+    if squares.min() < _SMALLEST_NORMAL or norms.max() == math.inf:
+        # A row with an infinite norm, or with a nonzero square below the
+        # normal range, is scaled by the power of two that puts its largest
+        # entry in [0.5, 1). That is exact, so its unit row is the one that any
+        # multiple of it by a power of two gives when all its squares are
+        # normal. A row of zeros is left as it is, for the zero-norm error.
+        rows = np.flatnonzero((norms == math.inf) | ((squares < _SMALLEST_NORMAL) & (arr != 0.0)).any(axis=1))
+        if rows.size:
+            arr = arr.copy()
+            _, exponents = np.frexp(np.abs(arr[rows]).max(axis=1))
+            scaled = arr[rows] = np.ldexp(arr[rows], -exponents[:, None])
+            norms[rows] = np.sqrt(np.add.reduce(scaled * scaled, axis=1))
     if not norms.all():
         raise ValueError(f"zero-norm vector at {name}[{np.flatnonzero(norms == 0.0)[0]}]")
-    return arr / norms[:, None]
+    # Into the squares' buffer, so that no second array of this size is live.
+    return np.divide(arr, norms[:, None], out=squares)
 
 
 def build_cost(sub_instructions: object, panoramas: object) -> np.ndarray:
-    """Pairwise cosine-distance cost matrix, entries clipped to [0, 2]."""
+    """Pairwise cosine-distance cost matrix, entries clipped to [0, 2].
+
+    A feature row whose squares leave the normal float range is first scaled
+    by a power of two, which is exact: rows that differ by such a factor, each
+    entry normal, give the same bits.
+    """
     subs, panos = _matching_widths(sub_instructions, "sub_instructions", panoramas, "panoramas")
     cost = _unit_rows(subs, "sub_instructions") @ _unit_rows(panos, "panoramas").T
     # In place, the ufuncs of `1.0 - cost` and np.clip. 1.0 - x is never -0.0,
@@ -142,8 +163,8 @@ def _as_binary(value: object, name: str) -> np.ndarray:
     return arr
 
 
-def validate_alignment_matrix(a: object) -> None:
-    """Raise ValueError unless the matrix is a single monotone staircase path.
+def validate_alignment_matrix(a: object) -> np.ndarray:
+    """The matrix as an array, checked: ValueError unless it is a single monotone staircase path.
 
     Checks: binary entries, both corner cells set, and the set cells form one
     connected path using only right/down/diagonal steps. Such a path visits
@@ -171,6 +192,7 @@ def validate_alignment_matrix(a: object) -> None:
         visited += 1
     if visited != len(ones):
         raise ValueError("alignment matrix holds cells outside the path")
+    return arr
 
 
 class TargetMatrix(Record):
@@ -231,8 +253,7 @@ def expand_alignment(a: object, spans: Sequence[tuple[int, int]], n_words: int) 
         more = n_words - covered - len(uncovered)
         tail = f" and {more} more ({n_words - covered} in all)" if more else ""
         raise ValueError(f"words not covered by any sub-instruction span: {uncovered}{tail}")
-    arr = _as_array(a, "alignment matrix")
-    validate_alignment_matrix(arr)
+    arr = validate_alignment_matrix(a)
     if len(bounds) != len(arr):
         raise ValueError(f"sub-instruction spans ({len(bounds)}) do not match the alignment rows ({len(arr)})")
     # The spans partition the words, so they are in order when each starts where the one before ends.
@@ -248,8 +269,7 @@ def target_from_word_map(a: object, word_to_sub: Sequence[int]) -> TargetMatrix:
     The map must be non-decreasing and cover every alignment row, as produced
     by an in-order chunk partition.
     """
-    arr = _as_array(a, "alignment matrix")
-    validate_alignment_matrix(arr)
+    arr = validate_alignment_matrix(a)
     m = arr.shape[0]
     owner = list(word_to_sub)
     for o, k in enumerate(owner):
@@ -290,7 +310,8 @@ def attention_coverage_loss(beta: object, a_prime: object, eps: float = DEFAULT_
     aligned viewpoints and has exactly one unaligned viewpoint. A word whose
     viewpoints are all aligned scores -log(eps), 18.42 at the default eps.
 
-    The target is checked first, then the attention, then eps.
+    The target is checked first, then the attention, whose rows must sum to
+    1 within 1e-6, then eps.
     """
     target = _as_target(a_prime)
     b = _as_array(beta, "attention", float)
@@ -302,7 +323,7 @@ def attention_coverage_loss(beta: object, a_prime: object, eps: float = DEFAULT_
         if not np.isfinite(b).all():
             raise ValueError("attention entries must be finite")
         raise ValueError("attention entries must lie in [0, 1]")
-    if np.abs(b.sum(axis=1) - 1.0).max() > ATTENTION_ROW_TOL:
+    if np.abs(b.sum(axis=1) - 1.0).max() > _ATTENTION_ROW_TOL:
         raise ValueError("attention rows must sum to 1")
     return _coverage_loss(b, target, eps)
 

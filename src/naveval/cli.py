@@ -30,17 +30,17 @@ if TYPE_CHECKING:
     from .text import DirectionTaxonomy
     _T = TypeVar("_T")
 
-DEFAULT_TAXONOMY = "r2r"
+_DEFAULT_TAXONOMY = "r2r"
 
 # Thread-count variables of OpenBLAS, OpenMP and MKL; see run().
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-class InputError(Exception):
+class _InputError(Exception):
     exit_code = 1
 
 
-class SchemaError(InputError):
+class _SchemaError(_InputError):
     exit_code = 2
 
 
@@ -59,11 +59,11 @@ def _load(
     try:
         return load(path)
     except UnicodeDecodeError as exc:
-        raise SchemaError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
+        raise _SchemaError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
     except OSError as exc:
-        raise InputError(unreadable(exc)) from None
+        raise _InputError(unreadable(exc)) from None
     except ValueError as exc:
-        raise SchemaError(invalid(exc)) from None
+        raise _SchemaError(invalid(exc)) from None
 
 
 def _load_jsonl(path: str, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | None = None) -> list[tuple[str, _Side]]:
@@ -86,23 +86,23 @@ def _load_jsonl(path: str, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | N
         try:
             obj = json.loads(line)
         except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
-            raise SchemaError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
+            raise _SchemaError(f"{where}: invalid JSON: {getattr(exc, 'msg', exc)}") from None
         if not isinstance(obj, dict):
-            raise SchemaError(f"{where}: record must be a JSON object")
+            raise _SchemaError(f"{where}: record must be a JSON object")
         rid = obj.get("id")
         text = obj.get("text")
         if not isinstance(rid, str) or not rid:
-            raise SchemaError(f"{where}: 'id' must be a nonempty string")
+            raise _SchemaError(f"{where}: 'id' must be a nonempty string")
         if not isinstance(text, str) or not text.strip():
-            raise SchemaError(f"{where}: 'text' must be a nonempty string")
+            raise _SchemaError(f"{where}: 'text' must be a nonempty string")
         tuples = obj.get("tuples")
         if tuples is not None and not isinstance(tuples, list):
-            raise SchemaError(f"{where}: 'tuples' must be a list of string lists")
+            raise _SchemaError(f"{where}: 'tuples' must be a list of string lists")
         directions = obj.get("directions")
         if directions is not None and (
             not isinstance(directions, list) or not all(isinstance(lab, str) and lab for lab in directions)
         ):
-            raise SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
+            raise _SchemaError(f"{where}: 'directions' must be a list of nonempty strings")
         try:
             if directions is None:
                 directions = _labels(_words(text), taxonomy)
@@ -111,7 +111,7 @@ def _load_jsonl(path: str, taxonomy: DirectionTaxonomy, synonyms: SynonymMap | N
             if tuples is not None:
                 tuples = _tuple_set(tuples, synonyms, json.dumps)
         except ValueError as exc:
-            raise SchemaError(f"{where}: {exc}") from None
+            raise _SchemaError(f"{where}: {exc}") from None
         records.append((rid, (tuples, tuple(directions))))
     return records
 
@@ -120,7 +120,7 @@ def _by_unique_id(records: list[tuple[str, _Side]], path: str, kind: str) -> dic
     by_id: dict[str, _Side] = {}
     for rid, item in records:
         if rid in by_id:
-            raise SchemaError(f"{path}: duplicate {kind} id {rid!r}")
+            raise _SchemaError(f"{path}: duplicate {kind} id {rid!r}")
         by_id[rid] = item
     return by_id
 
@@ -157,7 +157,7 @@ def _emit(text: str, out: str | None) -> None:
         try:
             _write_atomic(Path(out), text)
         except OSError as exc:
-            raise InputError(f"cannot write {out!r}: {exc.strerror or exc}") from None
+            raise _InputError(f"cannot write {out!r}: {exc.strerror or exc}") from None
         return
     try:
         if sys.stdout is None:
@@ -166,9 +166,9 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
-        raise InputError(f"cannot write to stdout: {exc.strerror or exc}") from None
+        raise _InputError(f"cannot write to stdout: {exc.strerror or exc}") from None
     except UnicodeEncodeError as exc:  # stdout's encoding cannot hold the text
-        raise InputError(f"cannot write to stdout: {exc}") from None
+        raise _InputError(f"cannot write to stdout: {exc}") from None
 
 
 def _emit_json(doc: object, out: str | None) -> None:
@@ -278,11 +278,11 @@ def _cmd_score(args: argparse.Namespace) -> int:
     # file that cannot be used is reported after every corpus error.
     try:
         synonyms, synonyms_error = _synonyms_from_args(args), None
-    except InputError as exc:
+    except _InputError as exc:
         synonyms, synonyms_error = None, exc
     records = _load_jsonl(args.candidates, taxonomy, synonyms)
     if not records:
-        raise InputError(f"{args.candidates}: no candidate records")
+        raise _InputError(f"{args.candidates}: no candidate records")
     candidates = _by_unique_id(records, args.candidates, "candidate")
 
     references: dict[str, list[_Side]] = {}
@@ -291,7 +291,7 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
     missing = [rid for rid in candidates if rid not in references]
     if missing:
-        raise InputError("candidate ids missing from references: " + ", ".join(missing))
+        raise _InputError("candidate ids missing from references: " + ", ".join(missing))
     if synonyms_error is not None:
         raise synonyms_error
 
@@ -331,33 +331,33 @@ def _cmd_align(args: argparse.Namespace) -> int:
     lambda2 = align.DEFAULT_LAMBDA2 if args.lambda2 is None else args.lambda2
     doc = _load(lambda p: json.loads(_read_text(p)), args.features, invalid=lambda exc: f"{args.features}: invalid JSON: {exc}")
     if not isinstance(doc, dict):
-        raise SchemaError(f"{args.features}: feature document must be a JSON object")
+        raise _SchemaError(f"{args.features}: feature document must be a JSON object")
     for key in ("sub_instructions", "panoramas", "words", "word_to_sub"):
         if key not in doc:
-            raise SchemaError(f"{args.features}: missing required key {key!r}")
+            raise _SchemaError(f"{args.features}: missing required key {key!r}")
 
     word_to_sub = doc["word_to_sub"]
     if not isinstance(word_to_sub, list):
-        raise SchemaError(f"{args.features}: 'word_to_sub' must be a list of integers")
+        raise _SchemaError(f"{args.features}: 'word_to_sub' must be a list of integers")
 
     try:  # build_cost, dtw_align and alignment_losses check the feature matrices: exit 1, naming the file
         a = align.dtw_align(align.build_cost(doc["sub_instructions"], doc["panoramas"]))
         words = doc["words"]
         if not isinstance(words, list) or len(words) != len(word_to_sub):
-            raise SchemaError(
+            raise _SchemaError(
                 f"{args.features}: 'word_to_sub' must map every word "
                 f"({len(word_to_sub)} entries for {len(words) if isinstance(words, list) else '?'} words)"
             )
         try:
             target = align.target_from_word_map(a, word_to_sub)
         except ValueError as exc:
-            raise SchemaError(f"{args.features}: {exc}") from None
+            raise _SchemaError(f"{args.features}: {exc}") from None
         # alignment_losses checks eps last; this copy of its check comes first so that the message names no file.
         if not 0.0 < eps < float("inf"):
-            raise InputError(f"eps must be positive and finite, got {eps!r}")
+            raise _InputError(f"eps must be positive and finite, got {eps!r}")
         l_att, l_nce = align.alignment_losses(words, doc["panoramas"], target, eps)
     except ValueError as exc:
-        raise InputError(f"{args.features}: {exc}") from None
+        raise _InputError(f"{args.features}: {exc}") from None
     total = align.total_loss(args.ce, l_att, l_nce, lambda1, lambda2)
 
     out_doc = {
@@ -411,19 +411,19 @@ def _read_score_table(path: str) -> tuple[list[str], list[list]]:
     try:
         header = next(reader)
     except StopIteration:
-        raise SchemaError(f"{path}: empty table") from None
+        raise _SchemaError(f"{path}: empty table") from None
     if len(header) < 3 or header[0] != "id" or header[-1] != "human":
-        raise SchemaError(f"{path}: header must be 'id', one or more metric names, then 'human'")
+        raise _SchemaError(f"{path}: header must be 'id', one or more metric names, then 'human'")
     metric_names = header[1:-1]
     for i, name in enumerate(metric_names):
         if name in metric_names[:i]:
-            raise SchemaError(f"{path}: repeated metric name {name!r} in the header")
+            raise _SchemaError(f"{path}: repeated metric name {name!r} in the header")
     rows = []
     for lineno, row in enumerate(reader, 2):
         if not row:
             continue
         if len(row) != len(header):
-            raise SchemaError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
+            raise _SchemaError(f"{path}:{lineno}: expected {len(header)} columns, got {len(row)}")
         rows.append([row[0], *(_parse_cell(cell, path, lineno) for cell in row[1:])])
     return header, rows
 
@@ -437,9 +437,9 @@ def _parse_cell(cell: str, path: str, lineno: int) -> float | None:
     try:
         value = float(cell)
     except ValueError:
-        raise SchemaError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
+        raise _SchemaError(f"{path}:{lineno}: non-numeric value {cell!r}") from None
     if not isfinite(value):
-        raise SchemaError(f"{path}:{lineno}: non-finite value {cell!r}")
+        raise _SchemaError(f"{path}:{lineno}: non-finite value {cell!r}")
     return value
 
 
@@ -450,20 +450,20 @@ def _cmd_correlate(args: argparse.Namespace) -> int:
 
     if args.min_directions is None:
         if args.instructions:
-            raise InputError("--instructions requires --min-directions with the minimum label count")
+            raise _InputError("--instructions requires --min-directions with the minimum label count")
         if args.taxonomy is not None:
-            raise InputError("--taxonomy requires --min-directions with the minimum label count")
+            raise _InputError("--taxonomy requires --min-directions with the minimum label count")
     else:
         if args.min_directions < 0:
-            raise InputError("--min-directions must be nonnegative")
+            raise _InputError("--min-directions must be nonnegative")
         if not args.instructions:
-            raise InputError("--min-directions requires --instructions with the instruction texts")
-        taxonomy = _load_taxonomy(DEFAULT_TAXONOMY if args.taxonomy is None else args.taxonomy)
+            raise _InputError("--min-directions requires --instructions with the instruction texts")
+        taxonomy = _load_taxonomy(_DEFAULT_TAXONOMY if args.taxonomy is None else args.taxonomy)
         records = _load_jsonl(args.instructions, taxonomy)
         instructions = _by_unique_id(records, args.instructions, "instruction")
         unknown = dict.fromkeys(row[0] for row in rows if row[0] not in instructions)
         if unknown:
-            raise InputError("table ids missing from the instructions file: " + ", ".join(unknown))
+            raise _InputError("table ids missing from the instructions file: " + ", ".join(unknown))
         kept = [row for row in rows if len(instructions[row[0]][1]) >= args.min_directions]
         _note(args, f"direction filter kept {len(kept)} rows, removed {len(rows) - len(kept)}")
         rows = kept
@@ -506,7 +506,7 @@ class _Parser(argparse.ArgumentParser):
         _emit(self.format_help(), None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--out", default=None, help="write output to this file atomically instead of stdout")
     # Only the subcommands that write notes take --quiet.
@@ -515,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     taxonomy = argparse.ArgumentParser(add_help=False)
     taxonomy.add_argument(
         "--taxonomy",
-        default=DEFAULT_TAXONOMY,
+        default=_DEFAULT_TAXONOMY,
         help="direction taxonomy: a bundled name (r2r, urban) or a JSON file path",
     )
 
@@ -553,7 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     # No default here, so that a --taxonomy no filter reads is an error.
     p_corr.add_argument(
         "--taxonomy",
-        help=f"direction taxonomy of --min-directions (default {DEFAULT_TAXONOMY}): a bundled name or a JSON file path",
+        help=f"direction taxonomy of --min-directions (default {_DEFAULT_TAXONOMY}): a bundled name or a JSON file path",
     )
     p_corr.add_argument("--min-directions", type=int, default=None, help="keep only rows whose instruction has at least this many direction labels")
     p_corr.add_argument("--instructions", default=None, help="JSONL instruction records, required by --min-directions")
@@ -582,9 +582,9 @@ _HANDLERS = {
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _build_parser().parse_args(argv)
         return _HANDLERS[args.command](args)
-    except InputError as exc:
+    except _InputError as exc:
         _to_stderr(f"naveval: error: {exc}")
         return exc.exit_code
     except ValueError as exc:  # a library check that the input failed

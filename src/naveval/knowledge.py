@@ -12,8 +12,18 @@ DEFAULT_TOP_K = 3
 
 
 def _check_fact(head: str, relation: str, tail: str, weight: float) -> None:
+    if not (isinstance(head, str) and isinstance(relation, str) and isinstance(tail, str)):
+        fields = (("head", head), ("relation", relation), ("tail", tail))
+        name, value = next((name, value) for name, value in fields if not isinstance(value, str))
+        raise ValueError(f"fact {name} must be a string, got {value!r}")
     if not (head and relation and tail):
         raise ValueError("fact fields must be nonempty")
+    # load_kb's weights are floats, so it never imports numbers.
+    if not isinstance(weight, float):
+        from numbers import Real
+
+        if isinstance(weight, bool) or not isinstance(weight, Real):
+            raise ValueError(f"fact weight must be a real number, got {weight!r}")
     if not math.isfinite(weight):
         raise ValueError(f"fact weight must be finite, got {weight}")
 
@@ -98,6 +108,9 @@ def retrieve_facts(kb: KnowledgeBase, entity: str, k: int = DEFAULT_TOP_K) -> li
     Ties break by relation then tail, ascending, so the ranking is total and
     deterministic. Unknown entities yield an empty list.
     """
+    # An integer, with no numpy import: anything with __index__ (int, a numpy integer) but a bool.
+    if isinstance(k, bool) or not hasattr(k, "__index__"):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     ranked = sorted(kb._rows(entity), key=lambda row: (-row[3], row[1], row[2]))

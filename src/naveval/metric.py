@@ -13,7 +13,7 @@ from .text import DirectionTaxonomy, Instruction, direction_labels
 # or (object, relation, object).
 SemanticTuple = tuple[str, ...]
 
-AGGREGATIONS = ("max", "mean")
+_AGGREGATIONS = ("max", "mean")
 
 
 def normalize_tuples(raw: Iterable[Sequence[str]]) -> frozenset[SemanticTuple]:
@@ -260,8 +260,8 @@ def score_pair(
     """
     if not references:
         raise ValueError("at least one reference is required")
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
+    if aggregation not in _AGGREGATIONS:
+        raise ValueError(f"aggregation must be one of {_AGGREGATIONS}, got {aggregation!r}")
 
     def side(item: ScoringInput) -> _Side:
         tuples = item.tuples if item.tuples is None or synonyms is None else synonyms.canonical_set(item.tuples)

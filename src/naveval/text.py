@@ -16,7 +16,7 @@ _SEPARATORS = '.,;:!?"'
 _CLAUSE_MARKS = frozenset(_SEPARATORS) - {'"'}
 
 # Tokens that open a new sub-instruction chunk.
-BOUNDARY_TOKENS = frozenset({"and", "then"})
+_BOUNDARY_TOKENS = frozenset({"and", "then"})
 
 
 def data_dir() -> Path:
@@ -229,7 +229,7 @@ def chunk_instruction(instruction: Instruction, verbs: Iterable[str]) -> list[tu
     cuts = []  # where each chunk after the first opens, then the end
     for i in range(1, len(tokens)):
         gap = raw[spans[i - 1][1] : spans[i][0]]
-        if tokens[i] in BOUNDARY_TOKENS or not _CLAUSE_MARKS.isdisjoint(gap):
+        if tokens[i] in _BOUNDARY_TOKENS or not _CLAUSE_MARKS.isdisjoint(gap):
             cuts.append(i)
     cuts.append(len(tokens))
 

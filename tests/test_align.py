@@ -125,6 +125,27 @@ class TestBuildCost:
             cost = build_cost(subs, panos)
             assert (cost >= 0.0).all() and (cost <= 2.0).all()
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200], ids=["overflow", "underflow"])
+    def test_exact_at_both_ends_of_the_float_range(self, scale):
+        """Squares of 1e200 overflow and of 1e-200 underflow; the rows are scaled first, with no warning."""
+        rows = [[scale, 0.0], [0.0, scale]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cost = build_cost(rows, rows)
+        assert cost.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+    def test_rescaled_rows_leave_the_caller_array_alone(self):
+        subs = np.array([[1e200, 1e200], [3.0, 4.0]])
+        before = subs.copy()
+        build_cost(subs, [[1.0, 1.0]])
+        assert subs.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("zeros", [[[0.0, 0.0]], [[1e-200, 0.0], [0.0, 0.0]], [[1e200, 0.0], [0.0, 0.0]]])
+    def test_row_of_zeros_still_named(self, zeros):
+        with pytest.raises(ValueError) as excinfo:
+            build_cost(zeros, [[1.0, 0.0]])
+        assert str(excinfo.value) == f"zero-norm vector at sub_instructions[{len(zeros) - 1}]"
+
     def test_antiparallel_rounding_is_clipped_to_two(self):
         """Unit rows of opposite vectors can have a dot product just below -1, so 1 - dot just above 2."""
         subs = [[0.4, 5.9], [5.9, 0.4], [0.1, 1.0], [1.0, 0.1]]
@@ -242,6 +263,29 @@ class TestValidateAlignmentMatrix:
         with pytest.raises(ValueError) as excinfo:
             validate_alignment_matrix(np.ones(shape, dtype=int))
         assert str(excinfo.value) == "alignment matrix must be a nonempty 2-D array"
+
+    def test_returns_the_checked_array(self):
+        a = np.array([[1, 1, 0], [0, 0, 1]])
+        assert validate_alignment_matrix(a) is a
+        assert validate_alignment_matrix([[True, False], [False, True]]).tolist() == [[True, False], [False, True]]
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda a: expand_alignment(a, [(0, 2), (2, 3)], 3), lambda a: target_from_word_map(a, [0, 0, 1])],
+        ids=["expand_alignment", "target_from_word_map"],
+    )
+    def test_target_builders_convert_the_alignment_once(self, monkeypatch, build):
+        seen = []
+
+        def counting_as_array(value, name, dtype=None):
+            seen.append(name)
+            return as_array(value, name, dtype)
+
+        as_array = align._as_array
+        monkeypatch.setattr(align, "_as_array", counting_as_array)
+        target = build([[1, 1, 0], [0, 0, 1]])
+        assert target.a_prime.tolist() == [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+        assert seen == ["alignment matrix"]
 
     @pytest.mark.parametrize("a", [[[0, 1], [0, 1]], [[1, 0], [1, 0]]], ids=["no-start", "no-end"])
     def test_either_missing_corner_names_both(self, a):

@@ -7,6 +7,7 @@ import pytest
 
 from naveval.align import (
     attention_coverage_loss,
+    build_cost,
     contrastive_loss,
     dtw_align,
     softmax_attention,
@@ -16,7 +17,7 @@ from naveval.align import (
 from test_align import brute_force_min_cost
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -64,3 +65,29 @@ def test_losses_finite_without_warnings(inputs):
         l_att = attention_coverage_loss(softmax_attention(words, panoramas), target)
         l_nce = contrastive_loss(panoramas, words, target)
     assert np.isfinite(l_att) and np.isfinite(l_nce)
+
+
+@st.composite
+def scaled_row(draw):
+    """Two feature matrices, one row of one of them, and a power of two that leaves every entry of that row normal."""
+    dim = draw(st.integers(1, 6))
+    subs = draw(matrices(st.integers(1, 4), st.just(dim), features))
+    panos = draw(matrices(st.integers(1, 5), st.just(dim), features))
+    assume((subs != 0.0).any(axis=1).all() and (panos != 0.0).any(axis=1).all())
+    side = draw(st.sampled_from([subs, panos]))
+    row = draw(st.integers(0, len(side) - 1))
+    k = draw(st.integers(-1070, 1070))
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(np.abs(side[row][side[row] != 0.0]), k)
+    assume(((scaled >= np.finfo(float).tiny) & (scaled < np.inf)).all())
+    return subs, panos, side, row, k
+
+
+@PROPERTY_SETTINGS
+@given(scaled_row())
+def test_build_cost_ignores_a_power_of_two_on_a_row(inputs):
+    """Squares of entries past about 2**511, or below 2**-511, leave the normal range; the costs do not change."""
+    subs, panos, side, row, k = inputs
+    cost = build_cost(subs, panos)
+    side[row] = np.ldexp(side[row], k)
+    assert build_cost(subs, panos).tobytes() == cost.tobytes()

@@ -20,7 +20,7 @@ UNMUTATED = {
     "_record": {},
     "align": {
         "dtw_align": "equivalent survivors: vert < best and left < best -> <=, and the two -1 stops -> -2 (CHANGES.md)",
-        "attention_coverage_loss": "equivalent survivor: > ATTENTION_ROW_TOL -> >= (CHANGES.md)",
+        "attention_coverage_loss": "equivalent survivor: > _ATTENTION_ROW_TOL -> >= (CHANGES.md)",
         **dict.fromkeys(
             ["_as_hidden_matrix", "_matching_widths", "_unit_rows", "build_cost", "TargetMatrix", "_as_target"],
             _CI_TIME,
@@ -30,9 +30,9 @@ UNMUTATED = {
         "_write_atomic": "equivalent survivor: os.umask(0) -> os.umask(1) (CHANGES.md)",
         **dict.fromkeys(
             [
-                "InputError", "SchemaError", "_load", "_load_jsonl", "_by_unique_id", "_emit", "_emit_json",
+                "_InputError", "_SchemaError", "_load", "_load_jsonl", "_by_unique_id", "_emit", "_emit_json",
                 "_to_stderr", "_note", "_load_taxonomy", "_synonyms_from_args", "_cmd_score",
-                "_cmd_align", "_cmd_directions", "_cmd_chunk", "_Parser", "build_parser", "run",
+                "_cmd_align", "_cmd_directions", "_cmd_chunk", "_Parser", "_build_parser", "run",
             ],
             _CLI_TIME,
         ),

@@ -21,7 +21,7 @@ from naveval.align import (
     softmax_attention,
     target_from_word_map,
 )
-from naveval.cli import build_parser, main
+from naveval.cli import _build_parser, main
 from naveval.stats import pearson
 
 HALF_SQRT2 = 0.7071067811865476
@@ -1479,7 +1479,7 @@ NOT_FOR_SHORT_CALLS = {
             ],
             NOT_FOR_SHORT_CALLS,
         ),
-        (["kb|query|--kb|KB|--entity|sink"], {"naveval.metric", "naveval.text", "naveval.stats", "numpy"}),
+        (["kb|query|--kb|KB|--entity|sink"], {"naveval.metric", "naveval.text", "naveval.stats", "numpy", "numbers"}),
         (
             ["align|TMP/features.json"],
             {"naveval.metric", "naveval.text", "naveval.knowledge", "naveval.stats", "csv"},
@@ -1791,7 +1791,7 @@ class TestParser:
         def flags(parser):
             return {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
 
-        subcommands = next(a for a in build_parser()._actions if a.dest == "command").choices
+        subcommands = next(a for a in _build_parser()._actions if a.dest == "command").choices
         kb_query = next(a for a in subcommands["kb"]._actions if a.dest == "kb_command").choices["query"]
         # --quiet only where notes are written.
         noted = {"--out", "--quiet"}

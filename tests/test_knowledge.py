@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from naveval.knowledge import (
@@ -139,8 +140,22 @@ class TestRetrieveFacts:
 
     def test_k_must_be_positive(self, kb_fixture_path):
         kb = load_kb(kb_fixture_path)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as excinfo:
             retrieve_facts(kb, "microwave", k=0)
+        assert str(excinfo.value) == "k must be >= 1, got 0"
+
+    @pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "2", None], ids=repr)
+    def test_k_must_be_an_integer(self, kb_fixture_path, k):
+        """A bool, a float or a string is refused, never truncated or compared."""
+        kb = load_kb(kb_fixture_path)
+        with pytest.raises(ValueError) as excinfo:
+            retrieve_facts(kb, "microwave", k=k)
+        assert str(excinfo.value) == f"k must be an integer, got {k!r}"
+
+    @pytest.mark.parametrize("k", [2, np.int64(2), np.uint8(2)], ids=["int", "int64", "uint8"])
+    def test_numpy_integer_k_accepted(self, kb_fixture_path, k):
+        kb = load_kb(kb_fixture_path)
+        assert [f.weight for f in retrieve_facts(kb, "microwave", k=k)] == [6.2, 4.1]
 
     def test_unknown_entity_empty(self, kb_fixture_path):
         kb = load_kb(kb_fixture_path)
@@ -267,6 +282,35 @@ class TestKnowledgeFact:
         with pytest.raises(ValueError) as excinfo:
             KnowledgeFact(**dict(zip(KnowledgeFact._fields, fields)))
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((5, "AtLocation", "hall", 1.0), "fact head must be a string, got 5"),
+            ((0, "AtLocation", "hall", 1.0), "fact head must be a string, got 0"),
+            (("door", None, "hall", 1.0), "fact relation must be a string, got None"),
+            (("door", "AtLocation", b"hall", 1.0), "fact tail must be a string, got b'hall'"),
+            (("door", "AtLocation", "hall", True), "fact weight must be a real number, got True"),
+            (("door", "AtLocation", "hall", "1.0"), "fact weight must be a real number, got '1.0'"),
+            (("door", "AtLocation", "hall", None), "fact weight must be a real number, got None"),
+            (("door", "AtLocation", "hall", 1j), "fact weight must be a real number, got 1j"),
+        ],
+        ids=["int-head", "zero-head", "none-relation", "bytes-tail", "bool-weight", "str-weight", "none-weight",
+             "complex-weight"],
+    )
+    def test_fields_are_checked_for_type(self, fields, message):
+        """A fact and a hand-built KnowledgeBase row refuse a field of the wrong type, naming it."""
+        with pytest.raises(ValueError) as excinfo:
+            KnowledgeFact(*fields)
+        assert str(excinfo.value) == message
+        with pytest.raises(ValueError) as excinfo:
+            KnowledgeBase([fields])
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("weight", [2, np.float32(2.5), np.int64(2), np.float64(2.5)], ids=repr)
+    def test_any_real_weight_accepted(self, weight):
+        assert KnowledgeFact("door", "AtLocation", "hall", weight).weight == weight
+        assert retrieve_facts(KnowledgeBase([("door", "AtLocation", "hall", weight)]), "door")[0].weight == weight
 
     def test_keyword_construction(self):
         fact = KnowledgeFact(weight=2.5, tail="kitchen", relation="AtLocation", head="sofa")
