@@ -15,15 +15,13 @@ from itertools import accumulate, chain, islice
 
 import numpy as np
 
-from ._record import Record, _set
+from ._record import Record, _is_integer, _set
 
 DEFAULT_EPS = 1e-8
 DEFAULT_LAMBDA1 = 1.0
 DEFAULT_LAMBDA2 = 1.0
 
 _ATTENTION_ROW_TOL = 1e-6
-# The smallest normal float64; a nonzero square below it has lost bits.
-_SMALLEST_NORMAL = 2.0**-1022
 
 
 def _as_array(value: object, name: str, dtype: type | None = None) -> np.ndarray:
@@ -32,11 +30,6 @@ def _as_array(value: object, name: str, dtype: type | None = None) -> np.ndarray
         return np.asarray(value, dtype=dtype)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{name} must be a rectangular array of numbers: {exc}") from None
-
-
-def _is_integer(value: object) -> bool:
-    # The one rule for a count or an index: a Python or numpy integer, not a bool.
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _as_hidden_matrix(value: object, name: str) -> np.ndarray:
@@ -58,35 +51,28 @@ def _matching_widths(a: object, a_name: str, b: object, b_name: str) -> tuple[np
 
 
 def _unit_rows(arr: np.ndarray, name: str) -> np.ndarray:
+    # Each row is scaled by the power of two that puts its largest entry in
+    # [0.5, 1), which is exact: no square overflows, and a row whose scaled
+    # squares are normal gets the bits the unscaled row gives when its own
+    # are. A row of zeros keeps exponent 0.
+    _, exponents = np.frexp(np.abs(arr).max(axis=1))
+    scale = -exponents[:, None]
+    # The squares and then the unit rows fill one new buffer, so the caller's
+    # array is left alone and no second array of this size is live.
+    buf = np.ldexp(arr, scale)
     # The ufuncs np.linalg.norm(arr, axis=1) runs for real input, without its
     # wrapper and its conj() copy, so the norms are the same bits.
-    with np.errstate(over="ignore"):
-        squares = arr * arr
-        norms = np.sqrt(np.add.reduce(squares, axis=1))
-    if squares.min() < _SMALLEST_NORMAL or norms.max() == math.inf:
-        # A row with an infinite norm, or with a nonzero square below the
-        # normal range, is scaled by the power of two that puts its largest
-        # entry in [0.5, 1). That is exact, so its unit row is the one that any
-        # multiple of it by a power of two gives when all its squares are
-        # normal. A row of zeros is left as it is, for the zero-norm error.
-        rows = np.flatnonzero((norms == math.inf) | ((squares < _SMALLEST_NORMAL) & (arr != 0.0)).any(axis=1))
-        if rows.size:
-            arr = arr.copy()
-            _, exponents = np.frexp(np.abs(arr[rows]).max(axis=1))
-            scaled = arr[rows] = np.ldexp(arr[rows], -exponents[:, None])
-            norms[rows] = np.sqrt(np.add.reduce(scaled * scaled, axis=1))
+    norms = np.sqrt(np.add.reduce(np.multiply(buf, buf, out=buf), axis=1))
     if not norms.all():
         raise ValueError(f"zero-norm vector at {name}[{np.flatnonzero(norms == 0.0)[0]}]")
-    # Into the squares' buffer, so that no second array of this size is live.
-    return np.divide(arr, norms[:, None], out=squares)
+    return np.divide(np.ldexp(arr, scale, out=buf), norms[:, None], out=buf)
 
 
 def build_cost(sub_instructions: object, panoramas: object) -> np.ndarray:
     """Pairwise cosine-distance cost matrix, entries clipped to [0, 2].
 
-    A feature row whose squares leave the normal float range is first scaled
-    by a power of two, which is exact: rows that differ by such a factor, each
-    entry normal, give the same bits.
+    Each feature row is first scaled by a power of two, which is exact: rows
+    that differ by such a factor, each entry normal, give the same bits.
     """
     subs, panos = _matching_widths(sub_instructions, "sub_instructions", panoramas, "panoramas")
     cost = _unit_rows(subs, "sub_instructions") @ _unit_rows(panos, "panoramas").T

@@ -134,7 +134,8 @@ class TestBuildCost:
             cost = build_cost(rows, rows)
         assert cost.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
-    def test_rescaled_rows_leave_the_caller_array_alone(self):
+    def test_caller_array_left_alone(self):
+        """Every row is scaled by a power of two, into a new buffer."""
         subs = np.array([[1e200, 1e200], [3.0, 4.0]])
         before = subs.copy()
         build_cost(subs, [[1.0, 1.0]])

@@ -1479,7 +1479,7 @@ NOT_FOR_SHORT_CALLS = {
             ],
             NOT_FOR_SHORT_CALLS,
         ),
-        (["kb|query|--kb|KB|--entity|sink"], {"naveval.metric", "naveval.text", "naveval.stats", "numpy", "numbers"}),
+        (["kb|query|--kb|KB|--entity|sink"], {"naveval.metric", "naveval.text", "naveval.stats", "numpy"}),
         (
             ["align|TMP/features.json"],
             {"naveval.metric", "naveval.text", "naveval.knowledge", "naveval.stats", "csv"},

@@ -144,9 +144,11 @@ class TestRetrieveFacts:
             retrieve_facts(kb, "microwave", k=0)
         assert str(excinfo.value) == "k must be >= 1, got 0"
 
-    @pytest.mark.parametrize("k", [True, False, 2.5, 2.0, "2", None], ids=repr)
+    @pytest.mark.parametrize(
+        "k", [True, False, 2.5, 2.0, "2", None, np.array(2.5), np.array([1, 2]), np.float64(2.0)], ids=repr
+    )
     def test_k_must_be_an_integer(self, kb_fixture_path, k):
-        """A bool, a float or a string is refused, never truncated or compared."""
+        """A bool, a float, a string or an array is refused, never truncated or compared."""
         kb = load_kb(kb_fixture_path)
         with pytest.raises(ValueError) as excinfo:
             retrieve_facts(kb, "microwave", k=k)

@@ -64,15 +64,23 @@ def test_public_names_are_the_listed_ones(module):
     assert _public_names(SRC / f"{module}.py") == PUBLIC[module]
 
 
+def _read_in_code(module, name, text):
+    """Whether text imports name from module, or reads it as module.name."""
+    imports = re.finditer(rf"from\s+(?:naveval)?\.{module}\s+import\s+(\([^)]*\)|[^\n]*)", text)
+    imported = any(re.search(rf"\b{name}\b", match.group(1)) for match in imports)
+    return imported or re.search(rf"\b{module}\.{name}\b", text) is not None
+
+
 def test_every_public_name_has_a_reader():
-    """Each public name is read by another module or by perfbench, or is named in README."""
+    """Each public name is imported or read as module.name by another module or by perfbench, or README
+    names it in code: `name`, `name(...)` or module.name. A bare word in prose does not count."""
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     perfbench = [path.read_text(encoding="utf-8") for path in sorted((ROOT / "perfbench").glob("*.py"))]
     unread = []
     for module, names in PUBLIC.items():
         others = [path.read_text(encoding="utf-8") for path in SRC.glob("*.py") if path.stem != module]
         for name in sorted(names):
-            word = re.compile(rf"\b{name}\b")
-            if not any(word.search(text) for text in [readme, *perfbench, *others]):
+            documented = re.search(rf"`{name}[`(]", readme) or _read_in_code(module, name, readme)
+            if not documented and not any(_read_in_code(module, name, text) for text in [*perfbench, *others]):
                 unread.append(f"{module}.{name}")
     assert sorted(unread) == sorted(NO_READER)

@@ -7,8 +7,10 @@ dataclasses these types once were gave for the same values.
 import copy
 import pickle
 
+import numpy as np
 import pytest
 
+from naveval._record import _is_integer
 from naveval.align import TargetMatrix, target_from_word_map
 from naveval.knowledge import KnowledgeFact
 from naveval.metric import ScoreReport, ScoringInput
@@ -122,6 +124,18 @@ def test_record_behaves_as_a_frozen_value(cls, kwargs, changed, text, invalid):
     if invalid is not None:
         with pytest.raises(ValueError):
             cls(**invalid)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [(0, True), (-3, True), (np.int64(2), True), (np.uint8(2), True), (True, False), (False, False),
+     (np.bool_(True), False), (2.0, False), (np.float64(2.0), False), ("2", False), (None, False),
+     (np.array(2), False), (np.array([1, 2]), False)],
+    ids=repr,
+)
+def test_is_integer(value, expected):
+    """The one rule for a count or an index: a Python or numpy integer, never a bool, a float or an array."""
+    assert _is_integer(value) is expected
 
 
 def test_defaults():
